@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from . import formats
 from .coloring import bfdt, chi_fdt, is_proper_total

@@ -13,16 +13,12 @@ requires every color to sit inside {1..M}.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .graph import Graph, find_proper_vertex_coloring
+from .graph import Graph, _norm_edge, find_proper_vertex_coloring
 
 EdgeKey = Tuple[int, int]
-
-
-def _ekey(u: int, v: int) -> EdgeKey:
-    return (u, v) if u < v else (v, u)
 
 
 @dataclass
@@ -36,7 +32,7 @@ class TotalColoring:
     def __post_init__(self):
         if self.palette < 1:
             raise ValueError("palette bound must be >= 1")
-        self.edge_colors = {_ekey(*e): c for e, c in self.edge_colors.items()}
+        self.edge_colors = {_norm_edge(*e): c for e, c in self.edge_colors.items()}
         for v, c in self.vertex_colors.items():
             if not 0 <= c <= self.palette:
                 raise ValueError("vertex %d color %d outside 0..%d" % (v, c, self.palette))
@@ -48,12 +44,12 @@ class TotalColoring:
         return self.vertex_colors[v]
 
     def edge(self, u: int, v: int) -> int:
-        return self.edge_colors[_ekey(u, v)]
+        return self.edge_colors[_norm_edge(u, v)]
 
     def relabel(self, mapping: Dict[int, int]) -> "TotalColoring":
         """Carry the coloring across a vertex relabeling."""
         vc = {mapping[v]: c for v, c in self.vertex_colors.items()}
-        ec = {_ekey(mapping[u], mapping[v]): c for (u, v), c in self.edge_colors.items()}
+        ec = {_norm_edge(mapping[u], mapping[v]): c for (u, v), c in self.edge_colors.items()}
         return TotalColoring(self.palette, vc, ec)
 
 
@@ -99,7 +95,7 @@ def bfdt(g: Graph, tc: TotalColoring) -> FdtReport:
     """Weight spread max - min over all edges.  Needs at least one edge."""
     if g.q == 0:
         raise ValueError("weight spread is undefined without edges")
-    w = {_ekey(u, v): edge_weight(tc, u, v) for u, v in g.edges()}
+    w = {_norm_edge(u, v): edge_weight(tc, u, v) for u, v in g.edges()}
     wmin = min(w.values())
     wmax = max(w.values())
     return FdtReport(w, wmin, wmax, wmax - wmin, wmin if wmax == wmin else None)
@@ -256,7 +252,7 @@ def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
             ec: Dict[EdgeKey, int] = {}
             for i in range(p):
                 for j, e in echoice[i].items():
-                    ec[_ekey(order[i], order[j])] = e
+                    ec[_norm_edge(order[i], order[j])] = e
             tc = TotalColoring(M, vc, ec)
             assert is_proper_total(g, tc)
             rep = bfdt(g, tc)

@@ -9,7 +9,7 @@ fast themselves.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graph import (
@@ -147,23 +147,12 @@ def free_trees(p: int) -> Tuple[Graph, ...]:
         raise ValueError("p >= 1 required")
     if p == 1:
         return (Graph(1),)
-    if p == 2:
-        return (Graph(2, [(1, 2)]),)
     reps: Dict[Tuple, Graph] = {}
-    seq = [1] * (p - 2)
-    while True:
-        t = prufer_to_tree(tuple(seq), p)
+    for seq in product(range(1, p + 1), repeat=p - 2):
+        t = prufer_to_tree(seq, p)
         key = tree_encoding(t)
         if key not in reps:
             reps[key] = t
-        # odometer increment
-        i = p - 3
-        while i >= 0 and seq[i] == p:
-            seq[i] = 1
-            i -= 1
-        if i < 0:
-            break
-        seq[i] += 1
     return tuple(reps[k] for k in sorted(reps))
 
 

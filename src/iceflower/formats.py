@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .graph import Graph
+from .graph import Graph, _norm_edge
 from .coloring import TotalColoring
 from .system import ColoredIceFlowerSystem, IceFlowerSystem, Star, make_star
 from .lattice import CoincideScript
@@ -81,9 +81,9 @@ def read_colored(text: str) -> Tuple[Graph, TotalColoring]:
     ec: Dict[Tuple[int, int], int] = {}
     for ln in lines[2:]:
         u, v, c = _int_fields(ln, 3, "colored edge")
-        a, b = (u, v) if u < v else (v, u)
-        edges.append((a, b))
-        ec[(a, b)] = c
+        uv = _norm_edge(u, v)
+        edges.append(uv)
+        ec[uv] = c
     try:
         g = Graph(p, edges)
         f = TotalColoring(palette, {i + 1: vcolors[i] for i in range(p)}, ec)

@@ -11,31 +11,24 @@ expressions, and color-preserving membership against a colored system.
 from __future__ import annotations
 
 import random
+from itertools import product
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graph import (
     Graph,
+    _norm_edge,
     canonical_form,
     canonical_relabel,
-    connected_components,
-    degree_sequence,
     find_hamilton_cycle,
     find_proper_vertex_coloring,
     is_connected,
     is_planar,
-    is_tree,
 )
 from .families import prufer_to_tree
 from .coloring import TotalColoring, is_proper_total
-from .leafops import (
-    LeafEdge,
-    disjoint_union,
-    leaf_coincide,
-    leaf_split,
-    colored_leaf_coincide,
-)
-from .system import ColoredIceFlowerSystem, IceFlowerSystem, Star, make_star
+from .leafops import LeafEdge, Surgery, leaf_split
+from .system import ColoredIceFlowerSystem, IceFlowerSystem, _lay_out_stars, make_star
 
 Step = Tuple[int, int, int, int]  # (instance, leaf slot, instance, leaf slot)
 
@@ -74,65 +67,36 @@ def _replay(
     script: CoincideScript,
     system: Optional[ColoredIceFlowerSystem] = None,
 ) -> Tuple[Graph, Optional[TotalColoring]]:
-    """Expand the star copies and run the merge steps in order.
+    """Lay out the star copies and run the merge steps in order.
 
-    With a colored system the same steps run through the color-aware
-    merge, so every step is also checked for color compatibility.
+    Leaf slot l of the instance centered at c is vertex c + l for the
+    whole replay, and a consumed slot is a deleted leaf.  With a colored
+    system every step is also checked for color compatibility.
     """
-    sizes = script.instance_sizes()
-    colorings: List[Optional[TotalColoring]] = []
+    stars = [s for s, a in zip(script.base.stars, script.coefficients) for _ in range(a)]
+    colorings: Optional[List[TotalColoring]] = None
+    palette = 0
     if system is not None:
         if system.sizes() != script.base.sizes():
             raise ValueError("system stars do not match the script base")
-        for f, a in zip(system.colorings, script.coefficients):
-            colorings.extend([f] * a)
-    else:
-        colorings = [None] * len(sizes)
+        colorings = [f for f, a in zip(system.colorings, script.coefficients) for _ in range(a)]
+        palette = max(f.palette for f in system.colorings)
+    g, theta, centers = _lay_out_stars(stars, colorings, palette)
 
-    edges: List[Tuple[int, int]] = []
-    vc: Dict[int, int] = {}
-    ec: Dict[Tuple[int, int], int] = {}
-    # (instance, slot) -> current vertex id; slot 0 is the center
-    where: Dict[Tuple[int, int], Optional[int]] = {}
-    offset = 0
-    for t, m in enumerate(sizes, start=1):
-        where[(t, 0)] = offset + 1
-        for l in range(1, m + 1):
-            where[(t, l)] = offset + 1 + l
-            edges.append((offset + 1, offset + 1 + l))
-        f = colorings[t - 1]
-        if f is not None:
-            for v in range(1, m + 2):
-                vc[offset + v] = f.vertex(v)
-            for l in range(1, m + 1):
-                ec[(offset + 1, offset + 1 + l)] = f.edge(1, 1 + l)
-        offset += m + 1
-    g = Graph(offset, edges)
-    theta = (
-        TotalColoring(max(f.palette for f in system.colorings), vc, ec)
-        if system is not None
-        else None
-    )
-
+    surgery = Surgery(g, theta)
     for t1, l1, t2, l2 in script.steps:
         for t, l in ((t1, l1), (t2, l2)):
-            if (t, l) not in where:
+            if not (1 <= t <= len(stars) and 0 <= l <= stars[t - 1].m):
                 raise ValueError("step references unknown slot (%d,%d)" % (t, l))
             if l < 1:
                 raise ValueError("steps must consume leaf slots, not centers")
-            if where[(t, l)] is None:
+            if centers[t - 1] + l in surgery.gone:
                 raise ValueError("slot (%d,%d) already consumed" % (t, l))
-        e1 = LeafEdge(where[(t1, 0)], where[(t1, l1)])
-        e2 = LeafEdge(where[(t2, 0)], where[(t2, l2)])
-        if theta is None:
-            res = leaf_coincide(g, e1, e2)
-        else:
-            res, theta = colored_leaf_coincide(g, theta, e1, e2)
-        g = res.graph
-        m = res.vertex_map
-        where = {
-            key: (m.get(v) if v is not None else None) for key, v in where.items()
-        }
+        surgery.merge(
+            LeafEdge(centers[t1 - 1], centers[t1 - 1] + l1),
+            LeafEdge(centers[t2 - 1], centers[t2 - 1] + l2),
+        )
+    g, _, theta = surgery.finish()
     return g, theta
 
 
@@ -176,28 +140,37 @@ def _script_over_base(
         else:
             return None
 
-    coefficients = [0] * len(sizes)
-    instance: Dict[int, int] = {}
-    t = 0
-    for bi in range(len(sizes)):
-        for w in non_leaf:
-            if assigned[w] == bi:
-                t += 1
-                instance[w] = t
-                coefficients[bi] += 1
-    # re-number instances in base-position grouping order
     slot_of: Dict[int, Dict[int, int]] = {
         w: {u: i + 1 for i, u in enumerate(g.neighbors(w))} for w in non_leaf
     }
-    steps: List[Step] = []
-    for u, v in g.edges():
-        if g.degree(u) >= 2 and g.degree(v) >= 2:
-            steps.append((instance[u], slot_of[u][v], instance[v], slot_of[v][u]))
     base = IceFlowerSystem([make_star(m) for m in sizes])
-    script = CoincideScript(base, tuple(coefficients), tuple(steps))
-    assert sum(coefficients) == len(non_leaf)
-    assert g.q == sum(a * s.m for a, s in zip(coefficients, base.stars)) - len(steps)
+    script = _script(g, base, assigned, slot_of)
+    assert sum(script.coefficients) == len(non_leaf)
+    assert g.q == sum(a * s.m for a, s in zip(script.coefficients, base.stars)) - len(script.steps)
     return script
+
+
+def _script(
+    g: Graph,
+    base: IceFlowerSystem,
+    assigned: Dict[int, int],
+    slot_of: Dict[int, Dict[int, int]],
+) -> CoincideScript:
+    """The script that puts each internal vertex w of g on an instance of
+    base star assigned[w] and turns every internal edge uv into a step
+    consuming slot slot_of[u][v] at u and slot_of[v][u] at v.  Instances
+    are numbered by base position, then by vertex id."""
+    coefficients = [0] * base.n
+    for bi in assigned.values():
+        coefficients[bi] += 1
+    order = sorted(assigned, key=lambda w: (assigned[w], w))
+    instance = {w: t for t, w in enumerate(order, start=1)}
+    steps = tuple(
+        (instance[u], slot_of[u][v], instance[v], slot_of[v][u])
+        for u, v in g.edges()
+        if u in instance and v in instance
+    )
+    return CoincideScript(base, tuple(coefficients), steps)
 
 
 def decompose_to_stars(g: Graph) -> CoincideScript:
@@ -260,36 +233,17 @@ def build_haired_cycle(degrees: Sequence[int]) -> HairedCycle:
     if any(m < 2 for m in degrees):
         raise ValueError("every spine degree must be >= 2")
 
-    g = make_star(degrees[0]).graph
-    centers: List[int] = [1]
-    free: List[List[int]] = [[1 + l for l in range(1, degrees[0] + 1)]]
+    g, _, centers = _lay_out_stars([make_star(m) for m in degrees], None, 0)
+    free = [list(range(c + 1, c + m + 1)) for c, m in zip(centers, degrees)]
+    surgery = Surgery(g)
+    for i in range(n):
+        j = (i + 1) % n
+        surgery.merge(LeafEdge(centers[i], free[i].pop()), LeafEdge(centers[j], free[j].pop(0)))
+    g, new, _ = surgery.finish()
+    centers = [new[c] for c in centers]
+    free = [[new[v] for v in lst] for lst in free]
 
-    def remap(mapping: Dict[int, int]) -> None:
-        for i in range(len(centers)):
-            centers[i] = mapping[centers[i]]
-            free[i] = [mapping[v] for v in free[i]]
-
-    for i in range(1, n):
-        star = make_star(degrees[i]).graph
-        shift = g.p
-        g, _ = disjoint_union(g, star)
-        centers.append(1 + shift)
-        free.append([1 + l + shift for l in range(1, degrees[i] + 1)])
-        donor = free[i - 1].pop()  # last free leaf of the previous star
-        taken = free[i].pop(0)  # first leaf of the new star
-        res = leaf_coincide(g, LeafEdge(centers[i - 1], donor), LeafEdge(centers[i], taken))
-        g = res.graph
-        remap(res.vertex_map)
-
-    res = leaf_coincide(
-        g,
-        LeafEdge(centers[n - 1], free[n - 1].pop()),
-        LeafEdge(centers[0], free[0].pop(0)),
-    )
-    g = res.graph
-    remap(res.vertex_map)
-
-    hc = HairedCycle(g, list(centers), {centers[i]: list(free[i]) for i in range(n)})
+    hc = HairedCycle(g, centers, dict(zip(centers, free)))
     for i in range(n):
         assert g.degree(centers[i]) == degrees[i]
         assert g.has_edge(centers[i], centers[(i + 1) % n])
@@ -387,10 +341,7 @@ def close_to_hamiltonian(
         for _ in range(samples):
             order = list(slots)
             rng.shuffle(order)
-            pairing = [
-                (min(a, b), max(a, b))
-                for a, b in zip(order[::2], order[1::2])
-            ]
+            pairing = [_norm_edge(a, b) for a, b in zip(order[::2], order[1::2])]
             if any(a == b for a, b in pairing):
                 continue
             if any(b - a == 1 or (a == 0 and b == n - 1) for a, b in pairing):
@@ -405,17 +356,14 @@ def close_to_hamiltonian(
 
     results: Dict[Tuple, Graph] = {}
     for chords in chord_sets:
-        g = hc.graph
-        centers = list(hc.spine)
-        pend = [list(hc.pendants[v]) for v in hc.spine]
+        surgery = Surgery(hc.graph)
+        pend = [iter(hc.pendants[v]) for v in hc.spine]
         for i, j in sorted(chords):
-            e1 = LeafEdge(centers[i], pend[i].pop(0))
-            e2 = LeafEdge(centers[j], pend[j].pop(0))
-            res = leaf_coincide(g, e1, e2)
-            g = res.graph
-            m = res.vertex_map
-            centers = [m[c] for c in centers]
-            pend = [[m[x] for x in lst] for lst in pend]
+            surgery.merge(
+                LeafEdge(hc.spine[i], next(pend[i])),
+                LeafEdge(hc.spine[j], next(pend[j])),
+            )
+        g, _, _ = surgery.finish()
         key = canonical_form(g)
         if key not in results:
             results[key] = Graph(key[0], key[1])
@@ -442,7 +390,7 @@ def hamiltonian_witness(g: Graph) -> Optional[HairedCycle]:
     p = len(cycle)
     for i in range(p):
         a, b = cycle[i], cycle[(i + 1) % p]
-        on_cycle.add((min(a, b), max(a, b)))
+        on_cycle.add(_norm_edge(a, b))
     cur = g
     pendants: Dict[int, List[int]] = {v: [] for v in cycle}
     for u, v in g.edges():
@@ -487,20 +435,10 @@ def spanning_lattice_enumerate(m: int) -> List[Tuple[Graph, Dict[int, int]]]:
     if m < 2:
         raise ValueError("m >= 2 required")
     rainbow = {i: i for i in range(1, m + 1)}
-    if m == 2:
-        return [(Graph(2, [(1, 2)]), dict(rainbow))]
-    out: List[Tuple[Graph, Dict[int, int]]] = []
-    seq = [1] * (m - 2)
-    while True:
-        out.append((prufer_to_tree(tuple(seq), m), dict(rainbow)))
-        i = m - 3
-        while i >= 0 and seq[i] == m:
-            seq[i] = 1
-            i -= 1
-        if i < 0:
-            break
-        seq[i] += 1
-    return out
+    return [
+        (prufer_to_tree(seq, m), dict(rainbow))
+        for seq in product(range(1, m + 1), repeat=m - 2)
+    ]
 
 
 def _star_signature(center_color: int, pairs) -> Tuple:
@@ -552,17 +490,4 @@ def colored_lattice_member(
         else:
             return None
 
-    coefficients = [0] * base.n
-    instance: Dict[int, int] = {}
-    t = 0
-    for bi in range(base.n):
-        for w in non_leaf:
-            if assigned[w] == bi:
-                t += 1
-                instance[w] = t
-                coefficients[bi] += 1
-    steps: List[Step] = []
-    for u, v in g.edges():
-        if g.degree(u) >= 2 and g.degree(v) >= 2:
-            steps.append((instance[u], slot_map[u][v], instance[v], slot_map[v][u]))
-    return CoincideScript(base.backbone(), tuple(coefficients), tuple(steps))
+    return _script(g, base.backbone(), assigned, slot_map)

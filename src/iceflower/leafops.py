@@ -10,13 +10,15 @@ leaf of the other, and the edge colors are equal).
 
 Operations that delete vertices renumber the survivors densely and
 return the old-id -> new-id map, so sequences of moves stay replayable.
+A whole batch of merges runs through one Surgery on fixed ids and is
+renumbered once at the end, with the same result as the one-step chain.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from .graph import Graph, connected_components
+from .graph import Graph, _norm_edge
 from .coloring import TotalColoring, is_proper_total
 
 
@@ -70,7 +72,7 @@ def leaf_split(g: Graph, u: int, v: int) -> SplitResult:
     if g.degree(u) < 2 or g.degree(v) < 2:
         raise ValueError("edge (%d,%d) touches a leaf; split undefined" % (u, v))
     p = g.p
-    edges = [e for e in g.edges() if e != (min(u, v), max(u, v))]
+    edges = [e for e in g.edges() if e != _norm_edge(u, v)]
     edges.append((u, p + 1))
     edges.append((v, p + 2))
     out = Graph(p + 2, edges)
@@ -78,16 +80,97 @@ def leaf_split(g: Graph, u: int, v: int) -> SplitResult:
     return SplitResult(out, p + 1, p + 2)
 
 
-def _delete_and_renumber(g: Graph, gone: Tuple[int, int], new_edge: Tuple[int, int]) -> CoincideResult:
-    keep = [v for v in g.vertices() if v not in gone]
-    mapping = {old: i + 1 for i, old in enumerate(keep)}
-    edges = [
-        (mapping[a], mapping[b])
-        for a, b in g.edges()
-        if a not in gone and b not in gone
-    ]
-    edges.append((mapping[new_edge[0]], mapping[new_edge[1]]))
-    return CoincideResult(Graph(g.p - 2, edges), mapping)
+class Surgery:
+    """A batch of leaf merges applied on the vertex ids of one graph.
+
+    Adjacency sets (and, with a coloring, edge colors) stay keyed by the
+    ids of the starting graph: a merge deletes its two leaves in place,
+    and finish() renumbers the survivors densely in id order, once.  A
+    chain of one-step merges renumbers in that same order, so the graph,
+    vertex map and coloring come out identical to the chain's, and error
+    messages name vertices by the ids the chain would show.
+
+    With a coloring every merge is checked for color compatibility and,
+    at the two supports only, for keeping the coloring proper; that local
+    check is exact when the starting coloring is proper total.
+    """
+
+    def __init__(self, g: Graph, theta: Optional[TotalColoring] = None):
+        self.p = g.p
+        self.adj = [set(a) for a in g._adj]
+        self.gone: set = set()  # deleted leaves
+        self.theta = theta
+        if theta is not None:
+            vc, ec = theta.vertex_colors, theta.edge_colors
+            if any(v not in vc for v in g.vertices()) or any(e not in ec for e in g._edges):
+                raise ValueError("coloring does not cover the graph")
+            self.ec = dict(ec)
+
+    def _label(self, v: int) -> int:
+        return v - sum(1 for x in self.gone if x < v)
+
+    def _check_leaf_edge(self, e: LeafEdge) -> None:
+        if not (1 <= e.support <= self.p and e.leaf in self.adj[e.support]):
+            raise ValueError("(%d,%d) is not an edge" % (self._label(e.support), self._label(e.leaf)))
+        if len(self.adj[e.leaf]) != 1:
+            raise ValueError("vertex %d is not a leaf" % self._label(e.leaf))
+        if len(self.adj[e.support]) < 2:
+            raise ValueError("support %d has no eligible degree" % self._label(e.support))
+
+    def merge(self, e1: LeafEdge, e2: LeafEdge) -> None:
+        """Delete both leaves and join the supports; the state is left
+        untouched when the merge is rejected."""
+        self._check_leaf_edge(e1)
+        self._check_leaf_edge(e2)
+        u, v = e1.support, e2.support
+        if self.theta is not None:
+            vc, ec = self.theta.vertex_colors, self.ec
+            c = ec[_norm_edge(*e1)]
+            if not (vc[u] == vc[e2.leaf] and vc[v] == vc[e1.leaf] and c == ec[_norm_edge(*e2)]):
+                raise ValueError("leaf-edges are not color-compatible")
+        if e1 == e2 or e1.leaf == e2.leaf:
+            raise ValueError("need two distinct leaf-edges")
+        if u == v:
+            raise ValueError("leaf-edges share the support %d" % self._label(u))
+        if v in self.adj[u]:
+            raise ValueError(
+                "supports %d,%d already adjacent; merge would double the edge"
+                % (self._label(u), self._label(v))
+            )
+        if u in (e1.leaf, e2.leaf) or v in (e1.leaf, e2.leaf):
+            raise ValueError("support/leaf roles overlap")
+        if self.theta is not None and (
+            vc[u] == vc[v]
+            or c in (vc[u], vc[v])
+            or any(
+                ec[_norm_edge(s, w)] == c
+                for s, leaf in (e1, e2)
+                for w in self.adj[s]
+                if w != leaf
+            )
+        ):
+            raise ValueError("merged coloring is not proper total; merge rejected")
+        for s, leaf in (e1, e2):
+            self.adj[s].discard(leaf)
+            self.adj[leaf].clear()
+            self.gone.add(leaf)
+        self.adj[u].add(v)
+        self.adj[v].add(u)
+        if self.theta is not None:
+            self.ec[_norm_edge(u, v)] = c
+
+    def finish(self) -> Tuple[Graph, Dict[int, int], Optional[TotalColoring]]:
+        """The merged graph with survivors renumbered densely in id order,
+        the old-id -> new-id map, and the carried coloring (or None)."""
+        keep = [v for v in range(1, self.p + 1) if v not in self.gone]
+        new = {old: i + 1 for i, old in enumerate(keep)}
+        pairs = sorted((a, b) for a in keep for b in self.adj[a] if a < b)
+        g = Graph(len(keep), [(new[a], new[b]) for a, b in pairs])
+        if self.theta is None:
+            return g, new, None
+        vc = {new[v]: self.theta.vertex_colors[v] for v in keep}
+        ec = {(new[a], new[b]): self.ec[(a, b)] for a, b in pairs}
+        return g, new, TotalColoring(self.theta.palette, vc, ec)
 
 
 def leaf_coincide(g: Graph, e1: LeafEdge, e2: LeafEdge) -> CoincideResult:
@@ -97,20 +180,11 @@ def leaf_coincide(g: Graph, e1: LeafEdge, e2: LeafEdge) -> CoincideResult:
     Rejected when the supports coincide or are already adjacent (the
     result must stay simple).
     """
-    validate_leaf_edge(g, e1)
-    validate_leaf_edge(g, e2)
-    if e1 == e2 or e1.leaf == e2.leaf:
-        raise ValueError("need two distinct leaf-edges")
-    u, v = e1.support, e2.support
-    if u == v:
-        raise ValueError("leaf-edges share the support %d" % u)
-    if g.has_edge(u, v):
-        raise ValueError("supports %d,%d already adjacent; merge would double the edge" % (u, v))
-    if u in (e1.leaf, e2.leaf) or v in (e1.leaf, e2.leaf):
-        raise ValueError("support/leaf roles overlap")
-    res = _delete_and_renumber(g, (e1.leaf, e2.leaf), (u, v))
-    assert res.graph.p == g.p - 2 and res.graph.q == g.q - 1
-    return res
+    surgery = Surgery(g)
+    surgery.merge(e1, e2)
+    out, vertex_map, _ = surgery.finish()
+    assert out.p == g.p - 2 and out.q == g.q - 1
+    return CoincideResult(out, vertex_map)
 
 
 @dataclass
@@ -157,9 +231,9 @@ def colored_leaf_split(
     vc = dict(f.vertex_colors)
     vc[res.leaf_at_u] = f.vertex(v)  # v' copies v
     vc[res.leaf_at_v] = f.vertex(u)  # u' copies u
-    ec = {e: c for e, c in f.edge_colors.items() if e != (min(u, v), max(u, v))}
-    ec[(min(u, res.leaf_at_u), max(u, res.leaf_at_u))] = c_edge
-    ec[(min(v, res.leaf_at_v), max(v, res.leaf_at_v))] = c_edge
+    ec = {e: c for e, c in f.edge_colors.items() if e != _norm_edge(u, v)}
+    ec[_norm_edge(u, res.leaf_at_u)] = c_edge
+    ec[_norm_edge(v, res.leaf_at_v)] = c_edge
     out = TotalColoring(f.palette, vc, ec)
     assert is_proper_total(res.graph, out)
     return res, out
@@ -188,20 +262,12 @@ def colored_leaf_coincide(
     merged edge takes the shared edge color.  The color equalities alone
     do not guarantee a sound coloring around the merged vertices (the
     input coloring is not assumed proper), so the result is re-validated
-    and rejected if it is not proper total.
+    and rejected if it is not proper total.  A coloring that misses a
+    vertex or edge of g is rejected with ValueError.
     """
-    if not colored_compatible(g, theta, e1, e2):
-        raise ValueError("leaf-edges are not color-compatible")
-    res = leaf_coincide(g, e1, e2)
-    m = res.vertex_map
-    vc = {m[v]: c for v, c in theta.vertex_colors.items() if v in m}
-    ec = {}
-    for (a, b), c in theta.edge_colors.items():
-        if a in m and b in m:
-            ec[(min(m[a], m[b]), max(m[a], m[b]))] = c
-    u, v = m[e1.support], m[e2.support]
-    ec[(min(u, v), max(u, v))] = theta.edge(*e1)
-    out = TotalColoring(theta.palette, vc, ec)
-    if not is_proper_total(res.graph, out):
+    surgery = Surgery(g, theta)
+    surgery.merge(e1, e2)
+    out, vertex_map, merged = surgery.finish()
+    if not is_proper_total(out, merged):
         raise ValueError("merged coloring is not proper total; merge rejected")
-    return res, out
+    return CoincideResult(out, vertex_map), merged

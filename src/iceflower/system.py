@@ -12,15 +12,16 @@ so the coupling edge colors agree automatically for every star pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graph import Graph, is_delta_saturated
+from .families import star_graph
 from .coloring import TotalColoring, is_proper_total, bfdt
 from .leafops import (
     LeafEdge,
+    Surgery,
     colored_compatible,
     colored_leaf_coincide,
-    disjoint_union,
     leaf_coincide_across,
     leaf_edges,
 )
@@ -34,7 +35,7 @@ class Star:
 
     @property
     def graph(self) -> Graph:
-        return Graph(self.m + 1, [(1, j) for j in range(2, self.m + 2)])
+        return star_graph(self.m)
 
     @property
     def center(self) -> int:
@@ -125,20 +126,32 @@ class ColoredIceFlowerSystem:
         return IceFlowerSystem(list(self.stars))
 
 
-def _pair_union(
-    s: ColoredIceFlowerSystem, i: int, j: int
-) -> Tuple[Graph, TotalColoring, int]:
-    """Disjoint union of stars i and j with the combined coloring; returns
-    the id shift applied to star j."""
-    gi, gj = s.stars[i].graph, s.stars[j].graph
-    fi, fj = s.colorings[i], s.colorings[j]
-    g, shift = disjoint_union(gi, gj)
-    palette = max(fi.palette, fj.palette)
-    vc = dict(fi.vertex_colors)
-    vc.update({v + shift: c for v, c in fj.vertex_colors.items()})
-    ec = dict(fi.edge_colors)
-    ec.update({(a + shift, b + shift): c for (a, b), c in fj.edge_colors.items()})
-    return g, TotalColoring(palette, vc, ec), shift
+def _lay_out_stars(
+    stars: Sequence[Star],
+    colorings: Optional[Sequence[TotalColoring]],
+    palette: int,
+) -> Tuple[Graph, Optional[TotalColoring], List[int]]:
+    """Disjoint copies of the stars in order, each in canonical layout
+    shifted past the ones before it, so leaf l of the copy centered at c
+    is vertex c + l.  Returns the graph, the combined coloring over the
+    palette bound (None without colorings) and the copies' centers."""
+    edges: List[Tuple[int, int]] = []
+    vc: Dict[int, int] = {}
+    ec: Dict[Tuple[int, int], int] = {}
+    centers: List[int] = []
+    c = 1
+    for i, star in enumerate(stars):
+        centers.append(c)
+        edges.extend((c, c + l) for l in range(1, star.m + 1))
+        if colorings is not None:
+            f = colorings[i]
+            vc[c] = f.vertex(1)
+            for l in range(1, star.m + 1):
+                vc[c + l] = f.vertex(1 + l)
+                ec[(c, c + l)] = f.edge(1, 1 + l)
+        c += star.m + 1
+    theta = TotalColoring(palette, vc, ec) if colorings is not None else None
+    return Graph(c - 1, edges), theta, centers
 
 
 def is_strongly_colored(s: ColoredIceFlowerSystem) -> bool:
@@ -148,12 +161,15 @@ def is_strongly_colored(s: ColoredIceFlowerSystem) -> bool:
     """
     for i in range(s.n):
         for j in range(i + 1, s.n):
-            g, theta, shift = _pair_union(s, i, j)
+            fi, fj = s.colorings[i], s.colorings[j]
+            g, theta, (ci, cj) = _lay_out_stars(
+                [s.stars[i], s.stars[j]], [fi, fj], max(fi.palette, fj.palette)
+            )
             ok = False
-            for a in s.stars[i].leaves:
-                for b in s.stars[j].leaves:
-                    e1 = LeafEdge(1, a)
-                    e2 = LeafEdge(1 + shift, b + shift)
+            for a in range(1, s.stars[i].m + 1):
+                for b in range(1, s.stars[j].m + 1):
+                    e1 = LeafEdge(ci, ci + a)
+                    e2 = LeafEdge(cj, cj + b)
                     if not colored_compatible(g, theta, e1, e2):
                         continue
                     try:
@@ -236,53 +252,26 @@ def saturate(s: ColoredIceFlowerSystem, copies: List[int]) -> SaturateResult:
     if sum(copies) < 1:
         raise ValueError("at least one star copy required")
 
-    palette = max(f.palette for f in s.colorings)
-    edges: List[Tuple[int, int]] = []
-    vc: Dict[int, int] = {}
-    ec: Dict[Tuple[int, int], int] = {}
-    origin: Dict[int, int] = {}  # vertex -> star instance (1-based)
-    offset = 0
-    instance = 0
-    for j, count in enumerate(copies):
-        for _ in range(count):
-            instance += 1
-            star, f = s.stars[j], s.colorings[j]
-            for u, v in star.graph.edges():
-                edges.append((u + offset, v + offset))
-                ec[(u + offset, v + offset)] = f.edge(u, v)
-            for v in star.graph.vertices():
-                vc[v + offset] = f.vertex(v)
-                origin[v + offset] = instance
-            offset += star.graph.p
-    g = Graph(offset, edges)
-    theta = TotalColoring(palette, vc, ec)
-
-    while True:
-        les = sorted(
-            leaf_edges(g),
-            key=lambda e: (origin[e.leaf], theta.vertex(e.leaf), e.support, e.leaf),
-        )
-        applied = False
-        for ai in range(len(les)):
-            for bi in range(ai + 1, len(les)):
-                e1, e2 = les[ai], les[bi]
-                if not colored_compatible(g, theta, e1, e2):
-                    continue
-                try:
-                    res, theta2 = colored_leaf_coincide(g, theta, e1, e2)
-                except ValueError:
-                    continue
-                g, theta = res.graph, theta2
-                origin = {
-                    res.vertex_map[v]: o
-                    for v, o in origin.items()
-                    if v in res.vertex_map
-                }
-                applied = True
-                break
-            if applied:
-                break
-        if not applied:
+    stars = [star for star, count in zip(s.stars, copies) for _ in range(count)]
+    colorings = [f for f, count in zip(s.colorings, copies) for _ in range(count)]
+    g, theta, _ = _lay_out_stars(stars, colorings, max(f.palette for f in s.colorings))
+    # Each leaf-edge's support is its star instance's center, so sorting by
+    # support orders by instance.  Merges never create or revive a
+    # leaf-edge, never recolor a vertex or change the set of edge colors
+    # at a vertex, and only add edges between supports: a pair rejected
+    # once stays rejected, so one pass finds every merge a rescan would.
+    les = sorted(leaf_edges(g), key=lambda e: (e.support, theta.vertex(e.leaf), e.leaf))
+    surgery = Surgery(g, theta)
+    for ai, e1 in enumerate(les):
+        if e1.leaf in surgery.gone:
+            continue
+        for e2 in les[ai + 1 :]:
+            if e2.leaf in surgery.gone:
+                continue
+            try:
+                surgery.merge(e1, e2)
+            except ValueError:
+                continue
             break
-
+    g, _, theta = surgery.finish()
     return SaturateResult(g, theta, is_delta_saturated(g))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .graph import Graph, is_connected, is_tree
+from .graph import Graph, _norm_edge, is_connected, is_tree
 from .coloring import TotalColoring
 
 
@@ -137,28 +137,28 @@ def cuttings(d: str, q: int) -> Iterator[TopcodeMatrix]:
 
 
 def _assemble(
-    labels: Sequence[int],
     cols: Sequence[Tuple[int, int, int]],
-    vertex_of: Dict[int, int],
+    ends: Sequence[Tuple[int, int]],
+    p: int,
 ) -> Optional[Tuple[Graph, TotalColoring]]:
-    """Graph from endpoint labels, or None on loop/duplicate/disconnect."""
+    """Graph on 1..p whose column i joins the vertices ends[i], colored by
+    the column's labels, or None on loop/duplicate/disconnect."""
     edges = []
-    seen = set()
+    vc: Dict[int, int] = {}
     ec: Dict[Tuple[int, int], int] = {}
-    for x, e, y in cols:
-        u, v = vertex_of[x], vertex_of[y]
+    for (x, e, y), (u, v) in zip(cols, ends):
         if u == v:
             return None
-        a, b = (u, v) if u < v else (v, u)
-        if (a, b) in seen:
+        uv = _norm_edge(u, v)
+        if uv in ec:
             return None
-        seen.add((a, b))
-        edges.append((a, b))
-        ec[(a, b)] = e
-    g = Graph(len(labels), edges)
+        edges.append(uv)
+        ec[uv] = e
+        vc[u] = x
+        vc[v] = y
+    g = Graph(p, edges)
     if not is_connected(g):
         return None
-    vc = {vertex_of[l]: l for l in labels}
     palette = max(
         1, max(vc.values(), default=0), max(ec.values(), default=0)
     )
@@ -184,7 +184,8 @@ def realize_topcode(
     labels = sorted({v for x, _, y in cols for v in (x, y)})
     if not identify:
         vertex_of = {l: i + 1 for i, l in enumerate(labels)}
-        return _assemble(labels, cols, vertex_of)
+        ends = [(vertex_of[x], vertex_of[y]) for x, _, y in cols]
+        return _assemble(cols, ends, len(labels))
 
     if t.q > 6:
         raise ValueError("identification search is limited to q <= 6")
@@ -239,34 +240,10 @@ def realize_topcode(
                     del slot_vertex[s]
 
     for slot_vertex in product(list(labels), 0, {}, [1]):
-        p = max(slot_vertex.values())
-        edges = []
-        seen = set()
-        ec: Dict[Tuple[int, int], int] = {}
-        ok = True
-        for (sx, sy), (x, e, y) in zip(slot_of_col, cols):
-            u, v = slot_vertex[sx], slot_vertex[sy]
-            if u == v:
-                ok = False
-                break
-            a, b = (u, v) if u < v else (v, u)
-            if (a, b) in seen:
-                ok = False
-                break
-            seen.add((a, b))
-            edges.append((a, b))
-            ec[(a, b)] = e
-        if not ok:
-            continue
-        g = Graph(p, edges)
-        if not is_connected(g):
-            continue
-        vc: Dict[int, int] = {}
-        for (sx, sy), (x, _, y) in zip(slot_of_col, cols):
-            vc[slot_vertex[sx]] = x
-            vc[slot_vertex[sy]] = y
-        palette = max(1, max(vc.values(), default=0), max(ec.values(), default=0))
-        return g, TotalColoring(palette, vc, ec)
+        ends = [(slot_vertex[sx], slot_vertex[sy]) for sx, sy in slot_of_col]
+        realized = _assemble(cols, ends, max(slot_vertex.values()))
+        if realized is not None:
+            return realized
     return None
 
 

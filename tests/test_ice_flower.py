@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
-from iceflower.graph import are_isomorphic, degree_sequence, is_delta_saturated
+from iceflower.graph import Graph, are_isomorphic, degree_sequence, is_delta_saturated
 from iceflower.families import path_graph, star_graph
 from iceflower.coloring import TotalColoring, bfdt, is_proper_total
+from iceflower.leafops import colored_compatible, colored_leaf_coincide, leaf_edges
 from iceflower.system import (
     ColoredIceFlowerSystem,
     IceFlowerSystem,
@@ -122,3 +125,70 @@ def test_saturate_rejects_empty_copies():
         saturate(s, [0, 0, 0])
     with pytest.raises(ValueError):
         saturate(s, [1, 1])  # wrong length
+
+
+def _rescan_saturate(s, copies):
+    """Reference saturation: after every merge, renumber through the public
+    colored_leaf_coincide and rescan the leaf-edges from the first pair."""
+    palette = max(f.palette for f in s.colorings)
+    edges, vc, ec, origin = [], {}, {}, {}
+    offset = instance = 0
+    for j, count in enumerate(copies):
+        for _ in range(count):
+            instance += 1
+            star, f = s.stars[j], s.colorings[j]
+            for u, v in star.graph.edges():
+                edges.append((u + offset, v + offset))
+                ec[(u + offset, v + offset)] = f.edge(u, v)
+            for v in star.graph.vertices():
+                vc[v + offset] = f.vertex(v)
+                origin[v + offset] = instance
+            offset += star.graph.p
+    g, theta = Graph(offset, edges), TotalColoring(palette, vc, ec)
+    while True:
+        les = sorted(
+            leaf_edges(g),
+            key=lambda e: (origin[e.leaf], theta.vertex(e.leaf), e.support, e.leaf),
+        )
+        for ai in range(len(les)):
+            for e2 in les[ai + 1 :]:
+                if not colored_compatible(g, theta, les[ai], e2):
+                    continue
+                try:
+                    res, theta = colored_leaf_coincide(g, theta, les[ai], e2)
+                except ValueError:
+                    continue
+                g = res.graph
+                origin = {res.vertex_map[v]: o for v, o in origin.items() if v in res.vertex_map}
+                break
+            else:
+                continue
+            break
+        else:
+            return g, theta, is_delta_saturated(g)
+
+
+def test_saturate_matches_rescan_on_random_subsystems():
+    rng = random.Random(53)
+    cases = 0
+    while cases < 120:
+        n, k = rng.randrange(3, 7), rng.randrange(0, 3)
+        try:
+            full = build_uniform_fdt_system(n, k)
+        except ValueError:
+            continue
+        picked = rng.sample(range(n), rng.randrange(1, n + 1))
+        colorings = []
+        for j in picked:  # shuffle the leaves so leaf ids and colors disagree in order
+            leaves = list(full.stars[j].leaves)
+            shuffled = rng.sample(leaves, len(leaves))
+            colorings.append(full.colorings[j].relabel({1: 1, **dict(zip(leaves, shuffled))}))
+        sub = ColoredIceFlowerSystem(
+            [full.stars[j] for j in picked], colorings, fdt_constant=k
+        )
+        copies = [rng.randrange(0, 4) for _ in picked]
+        if sum(copies) == 0:
+            continue
+        res = saturate(sub, copies)
+        assert (res.graph, res.coloring, res.saturated) == _rescan_saturate(sub, copies)
+        cases += 1

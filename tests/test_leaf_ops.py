@@ -158,6 +158,25 @@ def test_colored_coincide_requires_compatibility():
         colored_leaf_coincide(g, f, LeafEdge(1, 3), LeafEdge(4, 6))
 
 
+def test_colored_coincide_rejects_partial_coloring_with_value_error():
+    g = Graph(6, [(1, 2), (1, 3), (4, 5), (4, 6)])
+    f = TotalColoring(
+        6,
+        {1: 1, 2: 2, 3: 4, 4: 2, 5: 1, 6: 3},
+        {(1, 2): 3, (1, 3): 5, (4, 5): 3, (4, 6): 4},
+    )
+    e1, e2 = LeafEdge(1, 2), LeafEdge(4, 5)
+    res, merged = colored_leaf_coincide(g, f, e1, e2)
+    assert is_proper_total(res.graph, merged)
+    for drop in [(1, 3), (1, 2)]:  # an edge beside the merge, a merged leaf-edge
+        ec = {e: c for e, c in f.edge_colors.items() if e != drop}
+        with pytest.raises(ValueError):
+            colored_leaf_coincide(g, TotalColoring(6, f.vertex_colors, ec), e1, e2)
+    vc = {v: c for v, c in f.vertex_colors.items() if v != 5}
+    with pytest.raises(ValueError):
+        colored_leaf_coincide(g, TotalColoring(6, vc, f.edge_colors), e1, e2)
+
+
 def test_colored_coincide_round_trip_on_random_cases():
     rng = random.Random(13)
     done = 0

@@ -21,9 +21,11 @@ from iceflower.families import (
     path_graph,
     star_graph,
 )
-from iceflower.coloring import is_proper_total
+from iceflower.coloring import TotalColoring, is_proper_total
+from iceflower.leafops import LeafEdge, colored_leaf_coincide, disjoint_union, leaf_coincide
 from iceflower.lattice import (
     CoincideScript,
+    _chord_graphs,
     build_haired_cycle,
     close_to_hamiltonian,
     colored_lattice_member,
@@ -259,3 +261,194 @@ def test_colored_member_rejections():
     bad = CoincideScript(S.backbone(), (2, 0, 0, 0), ((1, 1, 2, 1),))
     with pytest.raises(ValueError):
         recompose_colored(bad, S)  # identical stars are never compatible
+
+
+# -- batch replay against one public merge per step --------------------------
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return "ValueError: %s" % e
+
+
+def _one_step_replay(script, system=None):
+    """Reference replay: lay the copies out by disjoint unions, then run one
+    public leaf_coincide / colored_leaf_coincide per step and push every
+    slot through the returned vertex_map."""
+    if system is not None and system.sizes() != script.base.sizes():
+        raise ValueError("system stars do not match the script base")
+    g = None
+    vc, ec = {}, {}
+    where = {}
+    t = 0
+    for j, count in enumerate(script.coefficients):
+        star = script.base.stars[j]
+        for _ in range(count):
+            t += 1
+            if g is None:
+                g, shift = star.graph, 0
+            else:
+                g, shift = disjoint_union(g, star.graph)
+            for l in range(star.m + 1):
+                where[(t, l)] = 1 + l + shift
+            if system is not None:
+                f = system.colorings[j]
+                vc.update({v + shift: c for v, c in f.vertex_colors.items()})
+                ec.update({(u + shift, v + shift): c for (u, v), c in f.edge_colors.items()})
+    theta = None
+    if system is not None:
+        theta = TotalColoring(max(f.palette for f in system.colorings), vc, ec)
+    for t1, l1, t2, l2 in script.steps:
+        for t, l in ((t1, l1), (t2, l2)):
+            if (t, l) not in where:
+                raise ValueError("step references unknown slot (%d,%d)" % (t, l))
+            if l < 1:
+                raise ValueError("steps must consume leaf slots, not centers")
+            if where[(t, l)] is None:
+                raise ValueError("slot (%d,%d) already consumed" % (t, l))
+        e1 = LeafEdge(where[(t1, 0)], where[(t1, l1)])
+        e2 = LeafEdge(where[(t2, 0)], where[(t2, l2)])
+        if theta is None:
+            res = leaf_coincide(g, e1, e2)
+        else:
+            res, theta = colored_leaf_coincide(g, theta, e1, e2)
+        g = res.graph
+        where = {key: res.vertex_map.get(v) for key, v in where.items()}
+    return g, theta
+
+
+def _random_script(rng, base, colorings=None):
+    """Random coefficients and steps: mostly two free slots on different
+    copies (only color-compatible ones when colorings are given),
+    sometimes any slot at all, so spent, unknown, center and same-copy slots and
+    repeated copy pairs all occur."""
+    coefficients = [rng.randrange(0, 3) for _ in base.stars]
+    if sum(coefficients) == 0:
+        coefficients[rng.randrange(base.n)] = 1
+    kind = [j for j, a in enumerate(coefficients) for _ in range(a)]
+    free = [(t, l) for t, j in enumerate(kind, 1) for l in range(1, base.stars[j].m + 1)]
+
+    def colors(t, l):
+        f = colorings[kind[t - 1]]
+        return f.vertex(1), f.vertex(1 + l), f.edge(1, 1 + l)
+
+    steps = []
+    for _ in range(rng.randrange(0, len(free) // 2 + 2)):
+        if len(free) < 2 or rng.random() < 0.1:
+            t = rng.randrange(0, len(kind) + 2)
+            steps.append((t, rng.randrange(-1, 4), rng.randrange(1, len(kind) + 1), rng.randrange(0, 4)))
+            continue
+        s1 = rng.choice(free)
+        others = [s for s in free if s[0] != s1[0]] or free
+        if colorings is not None:
+            c1, leaf1, e1 = colors(*s1)
+            others = [s for s in others if colors(*s) == (leaf1, c1, e1)]
+            if not others:
+                continue
+        s2 = rng.choice(others)
+        if s2 == s1:
+            continue
+        steps.append(s1 + s2)
+        free = [s for s in free if s not in (s1, s2)]
+    return CoincideScript(base, tuple(coefficients), tuple(steps))
+
+
+def test_recompose_matches_one_step_replay():
+    rng = random.Random(41)
+    for _ in range(300):
+        base = IceFlowerSystem([make_star(rng.randrange(2, 5)) for _ in range(rng.randrange(1, 4))])
+        sc = _random_script(rng, base)
+        assert _outcome(recompose, sc) == _outcome(lambda s: _one_step_replay(s)[0], sc)
+    for _ in range(60):
+        p = rng.randrange(4, 13)
+        sc = decompose_to_stars(random_connected_graph(rng, p, rng.randrange(0, p)))
+        assert recompose(sc) == _one_step_replay(sc)[0]
+
+
+def test_recompose_colored_matches_one_step_replay():
+    rng = random.Random(43)
+    merged = 0
+    for _ in range(300):
+        S = build_uniform_fdt_system(rng.randrange(3, 6), 0)
+        sc = _random_script(rng, S.backbone(), S.colorings)
+        got = _outcome(recompose_colored, sc, S)
+        assert got == _outcome(_one_step_replay, sc, S)
+        if not isinstance(got, str):
+            merged += len(sc.steps)
+    assert merged > 200  # the random scripts do reach long colored replays
+
+
+def _one_step_haired_cycle(degrees):
+    """Reference chain: add one star at a time by disjoint union and close
+    the cycle with public leaf_coincide calls, remapping after each."""
+    n = len(degrees)
+    g = make_star(degrees[0]).graph
+    centers = [1]
+    free = [[1 + l for l in range(1, degrees[0] + 1)]]
+
+    def remap(m):
+        for i in range(len(centers)):
+            centers[i] = m[centers[i]]
+            free[i] = [m[v] for v in free[i]]
+
+    for i in range(1, n):
+        g, shift = disjoint_union(g, make_star(degrees[i]).graph)
+        centers.append(1 + shift)
+        free.append([1 + l + shift for l in range(1, degrees[i] + 1)])
+        res = leaf_coincide(
+            g, LeafEdge(centers[i - 1], free[i - 1].pop()), LeafEdge(centers[i], free[i].pop(0))
+        )
+        g = res.graph
+        remap(res.vertex_map)
+    res = leaf_coincide(
+        g, LeafEdge(centers[n - 1], free[n - 1].pop()), LeafEdge(centers[0], free[0].pop(0))
+    )
+    remap(res.vertex_map)
+    return res.graph, centers, {centers[i]: free[i] for i in range(n)}
+
+
+def _one_step_closures(hc):
+    residual = [len(hc.pendants[v]) for v in hc.spine]
+    chord_sets = _chord_graphs(len(hc.spine), residual)
+    if not chord_sets:
+        raise ValueError("no pairing avoids multi-edges")
+    keys = set()
+    for chords in chord_sets:
+        g = hc.graph
+        centers = list(hc.spine)
+        pend = [list(hc.pendants[v]) for v in hc.spine]
+        for i, j in sorted(chords):
+            res = leaf_coincide(
+                g, LeafEdge(centers[i], pend[i].pop(0)), LeafEdge(centers[j], pend[j].pop(0))
+            )
+            g, m = res.graph, res.vertex_map
+            centers = [m[c] for c in centers]
+            pend = [[m[x] for x in lst] for lst in pend]
+        keys.add(canonical_form(g))
+    return [Graph(*k) for k in sorted(keys)]
+
+
+def test_haired_cycles_and_closures_match_one_step_chain():
+    """The degree sequences of gate c08, each in a few spine orders."""
+    rng = random.Random(47)
+    checked = 0
+    for n in (4, 5, 6):
+        for c in itertools.combinations_with_replacement(range(2, min(5, n - 1) + 1), n):
+            if sum(c) % 2:
+                continue
+            orders = {c, c[::-1]}
+            for _ in range(2):
+                order = list(c)
+                rng.shuffle(order)
+                orders.add(tuple(order))
+            for order in sorted(orders):
+                hc = build_haired_cycle(list(order))
+                assert (hc.graph, hc.spine, hc.pendants) == _one_step_haired_cycle(order)
+                if sum(len(p) for p in hc.pendants.values()) == 0:
+                    continue
+                got = _outcome(lambda h: close_to_hamiltonian(h).graphs, hc)
+                assert got == _outcome(_one_step_closures, hc)
+                checked += 1
+    assert checked > 100
