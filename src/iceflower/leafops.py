@@ -243,9 +243,14 @@ def colored_compatible(
     g: Graph, theta: TotalColoring, e1: LeafEdge, e2: LeafEdge
 ) -> bool:
     """The three color equalities that allow two leaf-edges to merge:
-    support of each matches the leaf of the other, and edge colors agree."""
+    support of each matches the leaf of the other, and edge colors agree.
+    A coloring missing one of the six colors raises ValueError."""
     validate_leaf_edge(g, e1)
     validate_leaf_edge(g, e2)
+    if any(v not in theta.vertex_colors for v in e1 + e2) or any(
+        _norm_edge(*e) not in theta.edge_colors for e in (e1, e2)
+    ):
+        raise ValueError("coloring does not cover the graph")
     return (
         theta.vertex(e1.support) == theta.vertex(e2.leaf)
         and theta.vertex(e2.support) == theta.vertex(e1.leaf)

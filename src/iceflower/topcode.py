@@ -60,18 +60,8 @@ def topcode_from_graph(g: Graph, f: TotalColoring) -> TopcodeMatrix:
     first, columns sorted by (edge color, endpoint colors)."""
     if g.q == 0:
         raise ValueError("a matrix needs at least one edge")
-    cols = []
-    for u, v in g.edges():
-        a, b = f.vertex(u), f.vertex(v)
-        if a > b:
-            a, b = b, a
-        cols.append((f.edge(u, v), a, b))
-    cols.sort()
-    return TopcodeMatrix(
-        tuple(c[1] for c in cols),
-        tuple(c[0] for c in cols),
-        tuple(c[2] for c in cols),
-    )
+    cols = [(f.vertex(u), f.edge(u, v), f.vertex(v)) for u, v in g.edges()]
+    return TopcodeMatrix(*zip(*cols)).canonical()
 
 
 def string_from_topcode(t: TopcodeMatrix) -> str:
@@ -91,32 +81,31 @@ def _check_number_string(d: str) -> None:
         raise ValueError("a number string is a non-empty run of digits 0-9")
 
 
-def _segmentations(
-    d: str, start: int, count: int, memo: Dict[Tuple[int, int], list]
-) -> List[Tuple[Tuple[int, ...], int]]:
-    """All ways to read `count` segments of 1-2 digits from position
-    `start`, wider-first at every position, as (values, end) pairs.
+def _readings(d: str, start: int, stop: int, count: int) -> Iterator[Tuple[int, ...]]:
+    """Every way to read d[start:stop] as `count` segments of 1-2 digits,
+    wider first at every position, lazily and on an explicit stack.
 
     Two-digit segments may not start with '0': their value would
-    re-serialize one digit short, breaking the bit-exact inverse.
+    re-serialize one digit short, breaking the bit-exact inverse.  So a
+    value below 10 always came from one digit and any other from two,
+    which is how a backtrack knows the width it pops.
     """
-    key = (start, count)
-    if key in memo:
-        return memo[key]
-    if count == 0:
-        memo[key] = [((), start)]
-        return memo[key]
-    out: List[Tuple[Tuple[int, ...], int]] = []
-    if start + 2 <= len(d) and d[start] != "0":
-        head = int(d[start : start + 2])
-        for vals, end in _segmentations(d, start + 2, count - 1, memo):
-            out.append(((head,) + vals, end))
-    if start + 1 <= len(d):
-        head = int(d[start])
-        for vals, end in _segmentations(d, start + 1, count - 1, memo):
-            out.append(((head,) + vals, end))
-    memo[key] = out
-    return out
+    vals: List[int] = []
+    pos, w = start, 2  # w: the next width to try at pos, 0 to backtrack
+    while True:
+        left = count - len(vals)
+        if left and w and left - 1 <= stop - pos - w <= 2 * (left - 1) and (w == 1 or d[pos] != "0"):
+            vals.append(int(d[pos : pos + w]))
+            pos, w = pos + w, 2
+        elif left and w == 2:
+            w = 1
+        else:
+            if not left:
+                yield tuple(vals)
+            if not vals:
+                return
+            width = 1 + (vals.pop() >= 10)
+            pos, w = pos - width, width - 1
 
 
 def cuttings(d: str, q: int) -> Iterator[TopcodeMatrix]:
@@ -130,10 +119,8 @@ def cuttings(d: str, q: int) -> Iterator[TopcodeMatrix]:
             "string of length %d cannot split into %d segments of 1-2 digits"
             % (len(d), 3 * q)
         )
-    memo: Dict[Tuple[int, int], list] = {}
-    for vals, end in _segmentations(d, 0, 3 * q, memo):
-        if end == len(d):
-            yield TopcodeMatrix(vals[:q], vals[q : 2 * q], vals[2 * q :])
+    for vals in _readings(d, 0, len(d), 3 * q):
+        yield TopcodeMatrix(vals[:q], vals[q : 2 * q], vals[2 * q :])
 
 
 def _assemble(
@@ -189,18 +176,12 @@ def realize_topcode(
 
     if t.q > 6:
         raise ValueError("identification search is limited to q <= 6")
-    # occurrence slots per label value, in column order (x before y)
+    # occurrence slots per label value, in column order: column i's x
+    # end is slot 2i and its y end slot 2i+1
     slots: Dict[int, List[int]] = {l: [] for l in labels}
-    slot_id = 0
-    slot_of_col: List[Tuple[int, int]] = []
-    for x, _, y in cols:
-        slots[x].append(slot_id)
-        sx = slot_id
-        slot_id += 1
-        slots[y].append(slot_id)
-        sy = slot_id
-        slot_id += 1
-        slot_of_col.append((sx, sy))
+    for i, (x, _, y) in enumerate(cols):
+        slots[x].append(2 * i)
+        slots[y].append(2 * i + 1)
 
     def partitions(items: List[int]) -> Iterator[List[List[int]]]:
         # restricted-growth order: the single-block partition comes first
@@ -220,62 +201,87 @@ def realize_topcode(
 
         return rec(1, 0) if n else iter([[]])
 
-    def product(groups: List[List[int]], idx: int, slot_vertex: Dict[int, int], next_id: List[int]) -> Iterator[Dict[int, int]]:
-        if idx == len(groups):
-            yield dict(slot_vertex)
+    def product(idx: int, slot_vertex: Dict[int, int], next_id: int) -> Iterator[Dict[int, int]]:
+        # every slot is assigned on the way down, so nothing is undone
+        if idx == len(labels):
+            yield slot_vertex
             return
-        label = groups[idx]
-        for part in partitions(slots[label]):
-            added = []
-            for block in part:
-                vid = next_id[0]
-                next_id[0] += 1
+        for part in partitions(slots[labels[idx]]):
+            for vid, block in enumerate(part, next_id):
                 for s in block:
                     slot_vertex[s] = vid
-                added.append(block)
-            yield from product(groups, idx + 1, slot_vertex, next_id)
-            for block in added:
-                next_id[0] -= 1
-                for s in block:
-                    del slot_vertex[s]
+            yield from product(idx + 1, slot_vertex, next_id + len(part))
 
-    for slot_vertex in product(list(labels), 0, {}, [1]):
-        ends = [(slot_vertex[sx], slot_vertex[sy]) for sx, sy in slot_of_col]
+    for slot_vertex in product(0, {}, 1):
+        ends = [(slot_vertex[2 * i], slot_vertex[2 * i + 1]) for i in range(t.q)]
         realized = _assemble(cols, ends, max(slot_vertex.values()))
         if realized is not None:
             return realized
     return None
 
 
-def _tree_columns(
-    xs: Sequence[int], ys: Sequence[int]
-) -> bool:
-    """Do the endpoint pairs form a tree on their distinct values?"""
-    q = len(xs)
-    parent: Dict[int, int] = {}
+_Steps = List[Dict[int, List[Tuple[int, int]]]]
+
+
+def _row_steps(row: str, q: int) -> _Steps:
+    """steps[i][p]: the (end, value) readings of segment i at position p
+    of a row read as q segments, wider first, that leave row[end:]
+    readable as the segments after it."""
+    return [
+        {
+            p: [
+                (p + w, int(row[p : p + w]))
+                for w in (2, 1)
+                if left <= len(row) - p - w <= 2 * left and (w == 1 or row[p] != "0")
+            ]
+            for p in range(i, min(2 * i, len(row)) + 1)
+        }
+        for i, left in enumerate(range(q - 1, -1, -1))
+    ]
+
+
+def _tree_rows(x_steps: _Steps, y_steps: _Steps) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """Every (X, Y) read along the two rows' steps whose columns
+    (x_i, y_i) are the edges of a tree on q+1 labels.
+
+    One depth-first search places x_i and y_i together.  The labels seen
+    are an int bitmask and connectivity is a union-find over the values
+    0-99, undone on backtrack (Tarjan 1975); a column whose two ends
+    already share a root is a loop, a repeated pair or a cycle.  A branch
+    also dies once its label count cannot end at exactly q+1.
+    """
+    q = len(x_steps)
+    parent = list(range(100))
+    xs, ys = [0] * q, [0] * q
+    found: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
 
     def find(a: int) -> int:
         while parent[a] != a:
-            parent[a] = parent[parent[a]]
             a = parent[a]
         return a
 
-    seen_pairs = set()
-    for i in range(q):
-        x, y = xs[i], ys[i]
-        if x == y:
-            return False
-        pair = (x, y) if x < y else (y, x)
-        if pair in seen_pairs:
-            return False
-        seen_pairs.add(pair)
-        parent.setdefault(x, x)
-        parent.setdefault(y, y)
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False  # cycle
-        parent[rx] = ry
-    return len(parent) == q + 1
+    def place(i: int, px: int, py: int, seen: int) -> None:
+        if i == q:
+            found.append((tuple(xs), tuple(ys)))
+            return
+        fewest = q + 1 - 2 * (q - i - 1)  # each column left adds <= 2 labels
+        for ex, x in x_steps[i][px]:
+            rx = find(x)
+            xs[i] = x
+            for ey, y in y_steps[i][py]:
+                ry = find(y)
+                if rx == ry:
+                    continue
+                grown = seen | 1 << x | 1 << y
+                if not fewest <= grown.bit_count() <= q + 1:
+                    continue
+                parent[rx] = ry
+                ys[i] = y
+                place(i + 1, ex, ey, grown)
+                parent[rx] = rx
+
+    place(0, 0, 0, 0)
+    return found
 
 
 def solve_dnsp(
@@ -283,11 +289,19 @@ def solve_dnsp(
 ) -> List[Tuple[TopcodeMatrix, Graph, TotalColoring]]:
     """All cuttings of d whose distinct-labels realization is a tree.
 
-    The sweep factors row by row: X segmentations of a prefix, then Y
-    segmentations of each feasible suffix with the tree test applied to
-    (X, Y) pairs, and only for passing pairs the middle row E — whose
-    values the tree test never constrains — is expanded.  Results come
-    out in cutting-stream order per q, deduplicated by matrix equality.
+    For each split of d into X | E | Y, one search places the columns
+    (x_i, y_i) of X and Y together and prunes on loops, repeated pairs,
+    cycles and label counts (see _tree_rows).  The middle row E, which
+    the tree test never constrains, is read out only for splits with a
+    passing (X, Y).  Results come out per q in cutting-stream order:
+    segment widths of X, then E, then Y, width 2 before width 1.  There
+    is no dedup: a cutting is bit-exact, so different cuttings give
+    different matrices.
+
+    Every value is at most 99, so a matrix has at most 100 distinct
+    labels, while a tree with q edges needs q+1 of them: every q >= 100
+    has no solution and is skipped without search.  This also bounds the
+    search's recursion depth by 99.
     """
     _check_number_string(d)
     qs = sorted(set(q_values))
@@ -301,42 +315,22 @@ def solve_dnsp(
             % (n, n)
         )
     out: List[Tuple[TopcodeMatrix, Graph, TotalColoring]] = []
-    seen_matrices = set()
     for q in viable:
-        memo: Dict[Tuple[int, int], list] = {}
-        x_list = _segmentations(d, 0, q, memo)
-        y_cache: Dict[int, List[Tuple[int, ...]]] = {}
-
-        def y_rows(o2: int) -> List[Tuple[int, ...]]:
-            if o2 not in y_cache:
-                y_cache[o2] = [
-                    vals
-                    for vals, end in _segmentations(d, o2, q, memo)
-                    if end == n
-                ]
-            return y_cache[o2]
-
-        for xs, o1 in x_list:
-            mid = _segmentations(d, o1, q, memo)
-            passing: Dict[int, List[Tuple[int, ...]]] = {}
-            for o2 in sorted({end for _, end in mid}):
-                good = [ys for ys in y_rows(o2) if _tree_columns(xs, ys)]
-                if good:
-                    passing[o2] = good
-            if not passing:
-                continue
-            for es, o2 in mid:
-                for ys in passing.get(o2, []):
-                    m = TopcodeMatrix(xs, es, ys)
-                    key = (m.X, m.E, m.Y)
-                    if key in seen_matrices:
-                        continue
-                    seen_matrices.add(key)
-                    realized = realize_topcode(m)
-                    assert realized is not None
-                    g, f = realized
-                    assert is_tree(g)
-                    out.append((m, g, f))
+        if q >= 100:
+            continue
+        found: List[TopcodeMatrix] = []
+        x_steps = {o1: _row_steps(d[:o1], q) for o1 in range(q, 2 * q + 1)}
+        y_steps = {o2: _row_steps(d[o2:], q) for o2 in range(n - 2 * q, n - q + 1)}
+        for o1 in range(q, 2 * q + 1):
+            for o2 in range(max(o1 + q, n - 2 * q), min(o1 + 2 * q, n - q) + 1):
+                pairs = _tree_rows(x_steps[o1], y_steps[o2])
+                if pairs:
+                    for es in _readings(d, o1, o2, q):
+                        found.extend(TopcodeMatrix(xs, es, ys) for xs, ys in pairs)
+        # a value below 10 is one digit wide, any other two (no leading
+        # zero), so this key is the wider-first order of cuttings(d, q)
+        found.sort(key=lambda m: [v < 10 for v in m.X + m.E + m.Y])
+        out.extend((m,) + realize_topcode(m) for m in found)
     return out
 
 

@@ -177,6 +177,22 @@ def test_colored_coincide_rejects_partial_coloring_with_value_error():
         colored_leaf_coincide(g, TotalColoring(6, vc, f.edge_colors), e1, e2)
 
 
+def test_colored_compatible_rejects_partial_coloring_with_value_error():
+    g = Graph(6, [(1, 2), (1, 3), (4, 5), (4, 6)])
+    vc = {1: 1, 2: 2, 3: 4, 4: 2, 5: 1, 6: 3}
+    ec = {(1, 2): 3, (1, 3): 5, (4, 5): 3, (4, 6): 4}
+    e1, e2 = LeafEdge(1, 2), LeafEdge(4, 5)
+    assert colored_compatible(g, TotalColoring(6, vc, ec), e1, e2)
+    for drop in [(1, 2), (4, 5)]:  # both vertex equalities still hold
+        partial = {e: c for e, c in ec.items() if e != drop}
+        with pytest.raises(ValueError, match="coloring does not cover the graph"):
+            colored_compatible(g, TotalColoring(6, vc, partial), e1, e2)
+    for drop in [1, 2, 4, 5]:
+        partial = {v: c for v, c in vc.items() if v != drop}
+        with pytest.raises(ValueError, match="coloring does not cover the graph"):
+            colored_compatible(g, TotalColoring(6, partial, ec), e1, e2)
+
+
 def test_colored_coincide_round_trip_on_random_cases():
     rng = random.Random(13)
     done = 0

@@ -1,7 +1,9 @@
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iceflower.graph import Graph, are_isomorphic, is_tree
 from iceflower.families import complete_graph, path_graph, star_graph
@@ -17,6 +19,7 @@ from iceflower.topcode import (
     vector_lattice_member,
 )
 from tests.conftest import random_distinct_label_tree
+from tests.test_acceptance import DIGIT_STRING_60
 
 
 def test_matrix_validation():
@@ -179,6 +182,83 @@ def test_solve_dnsp_round_trip_random_trees(rng):
         assert (m.X, m.E, m.Y) in keys
         idx = keys.index((m.X, m.E, m.Y))
         assert are_isomorphic(sols[idx][1], t)
+
+
+def test_solve_dnsp_matches_cutting_filter_with_zeros_and_several_q():
+    rng = random.Random(31)
+    hits = 0
+    for case in range(40):
+        qs = rng.sample(range(1, 6), rng.randrange(1, 4))
+        length = rng.randrange(3 * min(qs), 6 * max(qs) + 1)
+        alphabet = "0123456789" if case % 2 else "0112"
+        d = "".join(rng.choice(alphabet) for _ in range(length))
+        viable = [q for q in sorted(qs) if 3 * q <= length <= 6 * q]
+        if not viable:
+            with pytest.raises(ValueError):
+                solve_dnsp(d, qs)
+            continue
+        expected = []
+        for q in viable:
+            for m in cuttings(d, q):
+                r = realize_topcode(m)
+                if r is not None and is_tree(r[0]):
+                    expected.append((m,) + r)
+        assert solve_dnsp(d, qs) == expected, (d, qs)
+        hits += len(expected)
+    assert hits > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_solve_dnsp_recovers_every_encoded_tree(data):
+    q = data.draw(st.integers(1, 6))
+    edges = [(data.draw(st.integers(1, v - 1)), v) for v in range(2, q + 2)]
+    labels = data.draw(st.lists(st.integers(0, 99), min_size=q + 1, max_size=q + 1, unique=True))
+    colors = data.draw(st.lists(st.integers(0, 99), min_size=q, max_size=q))
+    t = Graph(q + 1, edges)
+    f = TotalColoring(
+        max([1] + labels + colors),
+        {v: labels[v - 1] for v in t.vertices()},
+        dict(zip(edges, colors)),
+    )
+    m = topcode_from_graph(t, f)
+    sols = solve_dnsp(string_from_topcode(m), [q])
+    keys = [(s.X, s.E, s.Y) for s, _, _ in sols]
+    assert (m.X, m.E, m.Y) in keys
+    assert are_isomorphic(sols[keys.index((m.X, m.E, m.Y))][1], t)
+
+
+def test_c12_solution_count_and_order_are_pinned():
+    sols = solve_dnsp(DIGIT_STRING_60.replace("o", "0"), [12])
+    keys = [(m.X, m.E, m.Y) for m, _, _ in sols]
+    assert len(keys) == 111
+    assert keys[0] == (
+        (21, 26, 24, 3, 2, 2, 5, 2, 2, 2, 2, 74),
+        (69, 22, 22, 11, 88, 13, 20, 20, 15, 10, 12, 17),
+        (20, 20, 1, 91, 4, 16, 21, 20, 1, 82, 3, 16),
+    )
+    assert keys[-1] == (
+        (2, 1, 2, 6, 2, 4, 3, 22, 5, 22, 22, 74),
+        (69, 22, 22, 11, 88, 13, 20, 20, 15, 10, 12, 17),
+        (20, 20, 19, 1, 4, 16, 2, 1, 20, 18, 23, 16),
+    )
+
+
+def test_cuttings_of_a_long_string_start_at_once():
+    d = "1" * 3300
+    m = next(cuttings(d, 1000))
+    # wider first: the first 300 segments take two digits, the rest one
+    assert m.X == (11,) * 300 + (1,) * 700
+    assert m.E == m.Y == (1,) * 1000
+    assert string_from_topcode(m) == d
+
+
+def test_solve_dnsp_skips_q_of_100_and_more():
+    # values are at most 99, so at most 100 distinct labels: a tree with
+    # 100 edges needs 101
+    t0 = time.time()
+    assert solve_dnsp("1" * 600, [100]) == []
+    assert time.time() - t0 < 1.0
 
 
 def test_topological_vectors():
