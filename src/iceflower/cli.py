@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Exit codes separate three situations so shell pipelines can branch:
+Exit codes separate four situations so shell pipelines can branch:
 0 = success, 1 = a negative mathematical answer (not a member, not
 planar, nothing found within the budget...), 2 = unusable input or
-usage.  A "no" is an answer, never a usage error.
+usage, 3 = an internal error, never an answer.  A "no" is an answer,
+never a usage error.  `run` alone maps exceptions to exit codes: a
+ValueError (FormatError included) is 2, any other exception is 3.
 """
 from __future__ import annotations
 
@@ -31,18 +33,14 @@ from .topcode import realize_topcode, solve_dnsp, string_from_topcode, topcode_f
 
 @dataclass
 class CommandResult:
-    exit_code: int  # 0 success / 1 negative answer / 2 usage or format
+    exit_code: int  # 0 success / 1 negative answer / 2 usage or format / 3 internal
     payload: str = ""  # stdout
     note: str = ""  # stderr
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we report instead
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _read_file(path: str) -> str:
@@ -50,17 +48,17 @@ def _read_file(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
-        raise _UsageError("cannot read %s: %s" % (path, e))
+        raise ValueError("cannot read %s: %s" % (path, e))
 
 
 def _ints(text: str, what: str) -> List[int]:
     parts = text.replace(",", " ").split()
     if not parts:
-        raise _UsageError("%s: empty list" % what)
+        raise ValueError("%s: empty list" % what)
     try:
         return [int(x) for x in parts]
     except ValueError:
-        raise _UsageError("%s: expected integers, got %r" % (what, text))
+        raise ValueError("%s: expected integers, got %r" % (what, text))
 
 
 def _q_values(text: str) -> List[int]:
@@ -69,9 +67,9 @@ def _q_values(text: str) -> List[int]:
         try:
             a, b = int(lo), int(hi)
         except ValueError:
-            raise _UsageError("--q: expected N or LO:HI, got %r" % text)
+            raise ValueError("--q: expected N or LO:HI, got %r" % text)
         if a > b:
-            raise _UsageError("--q: empty range %r" % text)
+            raise ValueError("--q: empty range %r" % text)
         return list(range(a, b + 1))
     return _ints(text, "--q")
 
@@ -153,29 +151,24 @@ def _build_parser() -> _Parser:
 
 def run(argv: List[str]) -> CommandResult:
     try:
-        args = _build_parser().parse_args(argv)
-        return _dispatch(args)
-    except _UsageError as e:
-        return CommandResult(2, note="error: %s" % e)
+        return _dispatch(_build_parser().parse_args(argv))
     except formats.FormatError as e:
         return CommandResult(2, note="format error: %s" % e)
+    except ValueError as e:
+        return CommandResult(2, note="error: %s" % e)
+    except Exception as e:
+        return CommandResult(3, note="internal error: %s: %s" % (type(e).__name__, e))
 
 
 def _dispatch(args) -> CommandResult:
     if args.cmd == "decompose":
         g, _ = formats.read_any_graph(_read_file(args.input))
-        try:
-            script = decompose_to_stars(g)
-        except ValueError as e:
-            return CommandResult(2, note="error: %s" % e)
+        script = decompose_to_stars(g)
         return CommandResult(0, formats.write_script(script))
 
     if args.cmd == "recompose":
         script = formats.read_script(_read_file(args.input))
-        try:
-            g = recompose(script)
-        except ValueError as e:
-            return CommandResult(2, note="error: %s" % e)
+        g = recompose(script)
         return CommandResult(0, formats.write_graph(g))
 
     if args.cmd == "lattice":
@@ -190,10 +183,7 @@ def _dispatch(args) -> CommandResult:
 
     if args.cmd == "hamiltonian":
         degs = _ints(args.degrees, "degrees")
-        try:
-            hc = build_haired_cycle(degs)
-        except ValueError as e:
-            return CommandResult(2, note="error: %s" % e)
+        hc = build_haired_cycle(degs)
         try:
             res = close_to_hamiltonian(hc, exhaustive_limit=args.budget, seed=args.seed)
         except ValueError as e:
@@ -228,10 +218,7 @@ def _dispatch(args) -> CommandResult:
 
     if args.cmd == "iceflower":
         if args.sub == "build":
-            try:
-                s = build_uniform_fdt_system(args.n, args.k)
-            except ValueError as e:
-                return CommandResult(2, note="error: %s" % e)
+            s = build_uniform_fdt_system(args.n, args.k)
             return CommandResult(0, formats.write_system(s))
         s = formats.read_system(_read_file(args.input))
         if is_strongly_colored(s):
@@ -241,10 +228,7 @@ def _dispatch(args) -> CommandResult:
     if args.cmd == "saturate":
         s = formats.read_system(_read_file(args.input))
         copies = _ints(args.copies, "--copies")
-        try:
-            res = saturate(s, copies)
-        except ValueError as e:
-            return CommandResult(2, note="error: %s" % e)
+        res = saturate(s, copies)
         doc = formats.write_colored(res.graph, res.coloring)
         if res.saturated:
             return CommandResult(0, doc, note="saturated")
@@ -257,7 +241,7 @@ def _dispatch(args) -> CommandResult:
         g, f = formats.read_any_graph(_read_file(args.input))
         return CommandResult(0, formats.export_dot(g, f))
 
-    raise _UsageError("unknown command")
+    raise RuntimeError("unknown command")
 
 
 def _lattice_check(args) -> CommandResult:
@@ -266,17 +250,11 @@ def _lattice_check(args) -> CommandResult:
 
     if kind == "uncolored":
         if not args.base:
-            raise _UsageError("lattice check uncolored needs --base m1,m2,...")
+            raise ValueError("lattice check uncolored needs --base m1,m2,...")
         sizes = _ints(args.base, "--base")
-        try:
-            base = IceFlowerSystem([make_star(m) for m in sizes])
-        except ValueError as e:
-            raise _UsageError("--base: %s" % e)
+        base = IceFlowerSystem([make_star(m) for m in sizes])
         g, _ = formats.read_any_graph(text)
-        try:
-            script = uncolored_lattice_member(g, base)
-        except ValueError as e:
-            return CommandResult(2, note="error: %s" % e)
+        script = uncolored_lattice_member(g, base)
         if script is None:
             return CommandResult(1, note="not a member: some internal degree has no base star")
         return CommandResult(0, formats.write_script(script))
@@ -313,52 +291,39 @@ def _lattice_check(args) -> CommandResult:
 
     if kind == "colored":
         if not args.base:
-            raise _UsageError("lattice check colored needs --base SYSTEMFILE")
+            raise ValueError("lattice check colored needs --base SYSTEMFILE")
         system = formats.read_system(_read_file(args.base))
         g, f = formats.read_colored(text)
-        try:
-            script = colored_lattice_member(g, f, system)
-        except ValueError as e:
-            return CommandResult(2, note="error: %s" % e)
+        script = colored_lattice_member(g, f, system)
         if script is None:
             return CommandResult(1, note="not a member: some split star matches no base star")
         return CommandResult(0, formats.write_script(script))
 
-    raise _UsageError("unknown lattice check kind")
+    raise RuntimeError("unknown lattice check kind")
 
 
 def _topcode(args) -> CommandResult:
     if args.sub == "encode":
         g, f = formats.read_colored(_read_file(args.input))
-        try:
-            t = topcode_from_graph(g, f)
-        except ValueError as e:
-            return CommandResult(2, note="error: %s" % e)
+        t = topcode_from_graph(g, f)
         if args.string:
-            try:
-                return CommandResult(0, string_from_topcode(t) + "\n")
-            except ValueError as e:
-                return CommandResult(2, note="error: %s" % e)
+            return CommandResult(0, string_from_topcode(t) + "\n")
         return CommandResult(0, formats.write_topcode(t))
 
     if args.sub == "decode":
         t = formats.read_topcode(_read_file(args.input))
-        try:
-            realized = realize_topcode(t, identify=args.identify)
-        except ValueError as e:
-            return CommandResult(2, note="error: %s" % e)
+        realized = realize_topcode(t, identify=args.identify)
         if realized is None:
             return CommandResult(1, note="unrealizable matrix")
         g, f = realized
         return CommandResult(0, formats.write_colored(g, f))
 
     if args.sub == "solve":
+        if args.limit < 0:
+            raise ValueError("--limit: expected a count >= 0, got %d" % args.limit)
         raw = _read_file(args.input)
         d = formats.read_number_string(raw, substitute_o=args.substitute_o)
-        try:
-            sols = solve_dnsp(d, _q_values(args.q))
-        except ValueError as e:
-            return CommandResult(2, note="error: %s" % e)
+        sols = solve_dnsp(d, _q_values(args.q))
         head = "solutions %d" % len(sols)
         if args.substitute_o:
             head += " (letter o read as 0)"
@@ -376,7 +341,7 @@ def _topcode(args) -> CommandResult:
             blocks.append("... %d more not shown (raise --limit)" % (len(sols) - len(shown)))
         return CommandResult(0, "\n\n".join(blocks) + "\n")
 
-    raise _UsageError("unknown topcode subcommand")
+    raise RuntimeError("unknown topcode subcommand")
 
 
 def main() -> None:

@@ -80,9 +80,6 @@ class Graph:
     def __repr__(self):
         return "Graph(p=%d, q=%d)" % (self.p, self.q)
 
-    def copy(self) -> "Graph":
-        return Graph(self.p, self._edges)
-
     def relabel(self, mapping: Dict[int, int], new_p: Optional[int] = None) -> "Graph":
         """Apply a vertex relabeling.  `mapping` must be injective on V."""
         if new_p is None:

@@ -55,13 +55,6 @@ class CoincideScript:
         if sum(self.coefficients) < 1:
             raise ValueError("at least one star copy required")
 
-    def instance_sizes(self) -> List[int]:
-        """Star size m for each instance, in instance order."""
-        out: List[int] = []
-        for star, a in zip(self.base.stars, self.coefficients):
-            out.extend([star.m] * a)
-        return out
-
 
 def _replay(
     script: CoincideScript,

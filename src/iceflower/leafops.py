@@ -90,9 +90,14 @@ class Surgery:
     vertex map and coloring come out identical to the chain's, and error
     messages name vertices by the ids the chain would show.
 
-    With a coloring every merge is checked for color compatibility and,
-    at the two supports only, for keeping the coloring proper; that local
-    check is exact when the starting coloring is proper total.
+    With a coloring every merge is checked for color compatibility.  On
+    a proper total coloring that check alone keeps the coloring proper,
+    so no properness check is made here.  For leaf-edges (u, l1) and
+    (v, l2) with f(u) = f(l2), f(v) = f(l1) and c = f(u l1) = f(v l2):
+    f(u) = f(l2) != f(v); c = f(v l2) != f(l2) = f(u), and likewise
+    c != f(v); and the other edges at u (at v) already differ from
+    f(u l1) = c (from f(v l2) = c).  A coloring that is not proper is
+    left for the caller to reject.
     """
 
     def __init__(self, g: Graph, theta: Optional[TotalColoring] = None):
@@ -139,17 +144,6 @@ class Surgery:
             )
         if u in (e1.leaf, e2.leaf) or v in (e1.leaf, e2.leaf):
             raise ValueError("support/leaf roles overlap")
-        if self.theta is not None and (
-            vc[u] == vc[v]
-            or c in (vc[u], vc[v])
-            or any(
-                ec[_norm_edge(s, w)] == c
-                for s, leaf in (e1, e2)
-                for w in self.adj[s]
-                if w != leaf
-            )
-        ):
-            raise ValueError("merged coloring is not proper total; merge rejected")
         for s, leaf in (e1, e2):
             self.adj[s].discard(leaf)
             self.adj[leaf].clear()

@@ -17,14 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .graph import Graph, is_delta_saturated
 from .families import star_graph
 from .coloring import TotalColoring, is_proper_total, bfdt
-from .leafops import (
-    LeafEdge,
-    Surgery,
-    colored_compatible,
-    colored_leaf_coincide,
-    leaf_coincide_across,
-    leaf_edges,
-)
+from .leafops import LeafEdge, Surgery, leaf_coincide_across, leaf_edges
 
 
 @dataclass(frozen=True)
@@ -157,32 +150,23 @@ def _lay_out_stars(
 def is_strongly_colored(s: ColoredIceFlowerSystem) -> bool:
     """Every pair of distinct stars admits some compatible leaf-edge pair
     whose merge stays proper total.  A single-star system passes vacuously.
-    (The compatibility equalities are symmetric, so unordered pairs suffice.)
+
+    Leaf-edges of two different stars pass every structural check of a
+    merge, and on proper star colorings compatibility keeps the merge
+    proper (see leafops.Surgery).  So a pair of stars merges exactly when
+    some (center, leaf, edge) color triple (x, y, c) of one star is
+    matched by the triple (y, x, c) of the other.  (The compatibility
+    equalities are symmetric, so unordered pairs suffice.)
     """
-    for i in range(s.n):
-        for j in range(i + 1, s.n):
-            fi, fj = s.colorings[i], s.colorings[j]
-            g, theta, (ci, cj) = _lay_out_stars(
-                [s.stars[i], s.stars[j]], [fi, fj], max(fi.palette, fj.palette)
-            )
-            ok = False
-            for a in range(1, s.stars[i].m + 1):
-                for b in range(1, s.stars[j].m + 1):
-                    e1 = LeafEdge(ci, ci + a)
-                    e2 = LeafEdge(cj, cj + b)
-                    if not colored_compatible(g, theta, e1, e2):
-                        continue
-                    try:
-                        colored_leaf_coincide(g, theta, e1, e2)
-                    except ValueError:
-                        continue
-                    ok = True
-                    break
-                if ok:
-                    break
-            if not ok:
-                return False
-    return True
+    triples = [
+        {(f.vertex(1), f.vertex(l), f.edge(1, l)) for l in star.leaves}
+        for star, f in zip(s.stars, s.colorings)
+    ]
+    return all(
+        any((y, x, c) in triples[j] for x, y, c in triples[i])
+        for i in range(s.n)
+        for j in range(i + 1, s.n)
+    )
 
 
 def build_uniform_fdt_system(n: int, k: int) -> ColoredIceFlowerSystem:

@@ -285,3 +285,72 @@ def test_threads_flag_never_changes_results(tmp_path):
     a = run(["decompose", k4])
     b = run(["decompose", k4, "--threads", "8"])
     assert (a.exit_code, a.payload) == (b.exit_code, b.payload)
+
+
+def test_negative_degree_is_bad_input_not_a_no():
+    r = run(["seq", "check", "3,-1"])
+    assert (r.exit_code, r.payload) == (2, "")
+    assert r.note == "error: degree sequence entries must be non-negative"
+
+
+def test_unexpected_exception_exits_3_never_as_a_no(tmp_path, monkeypatch):
+    def broken(g):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("iceflower.cli.decompose_to_stars", broken)
+    k3 = _file(tmp_path, "k3.graph", write_graph(complete_graph(3)))
+    r = run(["decompose", k3])
+    assert (r.exit_code, r.payload) == (3, "")
+    assert r.note == "internal error: RuntimeError: boom"
+
+
+
+_ROW7 = ",".join(["1"] * 7)
+
+
+@pytest.mark.parametrize(
+    "args, files",
+    [
+        pytest.param(
+            ["recompose", "{a}"], {"a": "base 1\n2 2\nsteps 1\n1 1 3 1\n"},
+            id="recompose-bad-step",
+        ),
+        pytest.param(
+            ["topcode", "encode", "{a}"],
+            {"a": write_colored(Graph(1, []), TotalColoring(1, {1: 1}, {}))},
+            id="encode-no-edges",
+        ),
+        pytest.param(
+            ["topcode", "encode", "{a}", "--string"],
+            {"a": write_colored(Graph(2, [(1, 2)]), TotalColoring(100, {1: 1, 2: 2}, {(1, 2): 100}))},
+            id="string-entry-above-99",
+        ),
+        pytest.param(
+            ["topcode", "decode", "{a}", "--identify"],
+            {"a": "topcode row-major/1-2digit\n%s\n%s\n%s\n" % (_ROW7, _ROW7, _ROW7)},
+            id="identify-q-above-6",
+        ),
+        pytest.param(
+            ["lattice", "check", "colored", "{a}", "--base", "{b}"],
+            {
+                "a": write_colored(Graph(2, [(1, 2)]), TotalColoring(3, {1: 1, 2: 1}, {(1, 2): 3})),
+                "b": write_system(build_uniform_fdt_system(3, 0)),
+            },
+            id="colored-member-improper",
+        ),
+        pytest.param(
+            ["lattice", "check", "uncolored", "{a}", "--base", "2"],
+            {"a": write_graph(Graph(4, [(1, 2), (3, 4)]))},
+            id="uncolored-member-disconnected",
+        ),
+        pytest.param(
+            ["topcode", "solve", "{a}", "--q", "1", "--limit", "-1"], {"a": "132\n"},
+            id="solve-negative-limit",
+        ),
+    ],
+)
+def test_rejected_input_exits_2_with_one_line_note(tmp_path, args, files):
+    paths = {name: _file(tmp_path, name, text) for name, text in files.items()}
+    r = run([a.format(**paths) for a in args])
+    assert (r.exit_code, r.payload) == (2, "")
+    assert r.note.startswith("error: ") and "\n" not in r.note

@@ -5,7 +5,13 @@ import pytest
 from iceflower.graph import Graph, are_isomorphic, degree_sequence, is_delta_saturated
 from iceflower.families import path_graph, star_graph
 from iceflower.coloring import TotalColoring, bfdt, is_proper_total
-from iceflower.leafops import colored_compatible, colored_leaf_coincide, leaf_edges
+from iceflower.leafops import (
+    LeafEdge,
+    colored_compatible,
+    colored_leaf_coincide,
+    disjoint_union,
+    leaf_edges,
+)
 from iceflower.system import (
     ColoredIceFlowerSystem,
     IceFlowerSystem,
@@ -99,6 +105,66 @@ def test_not_strongly_colored_when_colors_cannot_cross():
     f = TotalColoring(5, {1: 1, 2: 2, 3: 3}, {(1, 2): 4, (1, 3): 5})
     s = ColoredIceFlowerSystem([star, star], [f, f])
     assert not is_strongly_colored(s)
+
+
+def _strongly_colored_by_trial_merges(s):
+    """Reference: lay out each pair of stars side by side and try every
+    pair of their leaf-edges through colored_leaf_coincide."""
+
+    def merges(g, theta, e1, e2):
+        if not colored_compatible(g, theta, e1, e2):
+            return False
+        try:
+            colored_leaf_coincide(g, theta, e1, e2)
+        except ValueError:
+            return False
+        return True
+
+    for i in range(s.n):
+        for j in range(i + 1, s.n):
+            (si, fi), (sj, fj) = (s.stars[i], s.colorings[i]), (s.stars[j], s.colorings[j])
+            g, shift = disjoint_union(si.graph, sj.graph)
+            vc = dict(fi.vertex_colors)
+            vc.update({v + shift: c for v, c in fj.vertex_colors.items()})
+            ec = dict(fi.edge_colors)
+            ec.update({(a + shift, b + shift): c for (a, b), c in fj.edge_colors.items()})
+            theta = TotalColoring(max(fi.palette, fj.palette), vc, ec)
+            if not any(
+                merges(g, theta, LeafEdge(1, a), LeafEdge(1 + shift, b + shift))
+                for a in si.leaves
+                for b in sj.leaves
+            ):
+                return False
+    return True
+
+
+def _random_colored_star(rng, m):
+    """K_{1,m} under a random proper total coloring over a tight palette."""
+    palette = m + 1
+    center = rng.randrange(1, palette + 1)
+    edge_colors = rng.sample([c for c in range(1, palette + 1) if c != center], m)
+    vc, ec = {1: center}, {}
+    for leaf, c in zip(make_star(m).leaves, edge_colors):
+        vc[leaf] = rng.choice([x for x in range(1, palette + 1) if x not in (center, c)])
+        ec[(1, leaf)] = c
+    return TotalColoring(palette, vc, ec)
+
+
+def _random_colored_system(rng):
+    sizes = [rng.randrange(2, 5) for _ in range(rng.choice((2, 2, 3)))]
+    return ColoredIceFlowerSystem(
+        [make_star(m) for m in sizes], [_random_colored_star(rng, m) for m in sizes]
+    )
+
+
+def test_strongly_colored_matches_trial_merges_on_random_systems():
+    rng = random.Random(59)
+    answers = []
+    for _ in range(400):
+        s = _random_colored_system(rng)
+        answers.append(is_strongly_colored(s))
+        assert answers[-1] == _strongly_colored_by_trial_merges(s)
+    assert answers.count(True) >= 40 and answers.count(False) >= 40
 
 
 def test_saturate_two_paths_gives_p4():

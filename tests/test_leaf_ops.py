@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iceflower.graph import Graph, are_isomorphic, connected_components, is_connected
 from iceflower.families import cycle_graph, path_graph, star_graph
 from iceflower.coloring import TotalColoring, is_proper_total
 from iceflower.leafops import (
     LeafEdge,
+    Surgery,
     colored_compatible,
     colored_leaf_coincide,
     colored_leaf_split,
@@ -217,3 +219,66 @@ def test_colored_coincide_round_trip_on_random_cases():
         assert back.graph.p == g.p and back.graph.q == g.q
         assert are_isomorphic(back.graph, g)
         done += 1
+
+
+@st.composite
+def _leafy_proper_total(draw):
+    """A random graph with pairs of leaves hung on non-adjacent vertices,
+    under a random proper total coloring.  A leaf copies the color of the
+    other leaf's support and a leaf-edge the color of the other leaf-edge
+    where that stays proper, so compatible pairs are common; every other
+    color is drawn among the two smallest free ones."""
+    p = draw(st.integers(2, 6))
+    hangs = draw(
+        st.lists(
+            st.tuples(st.integers(1, p), st.integers(1, p)).filter(lambda h: h[0] != h[1]),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    apart = {(min(h), max(h)) for h in hangs}
+    pairs = [(u, v) for u in range(1, p + 1) for v in range(u + 1, p + 1) if (u, v) not in apart]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    twin = {}  # leaf -> (support, leaf) of the other half of its pair
+    for s, t in hangs:
+        a, b = p + 1 + len(twin), p + 2 + len(twin)
+        edges += [(s, a), (t, b)]
+        twin[a], twin[b] = (t, b), (s, a)
+    g = Graph(p + len(twin), edges)
+    palette = 2 * max(g.degree(v) for v in g.vertices()) + 3
+    vc, ec = {}, {}
+
+    def pick(used, wish):
+        if wish is not None and wish not in used:
+            return wish
+        return draw(st.sampled_from([c for c in range(1, palette + 1) if c not in used][:2]))
+
+    for v in g.vertices():
+        used = {vc[u] for u in g.neighbors(v) if u in vc}
+        vc[v] = pick(used, vc[twin[v][0]] if v in twin else None)
+    for u, v in g.edges():  # a leaf's id is above its support's
+        used = {vc[u], vc[v]} | {c for e, c in ec.items() if u in e or v in e}
+        ec[(u, v)] = pick(used, ec.get(twin[v]) if v in twin else None)
+    return g, TotalColoring(palette, vc, ec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_leafy_proper_total())
+def test_compatible_leaf_edges_of_a_proper_coloring_always_merge(gf):
+    """Surgery.merge checks compatibility only: on a proper total coloring
+    that alone keeps the merged coloring proper."""
+    g, f = gf
+    assert is_proper_total(g, f)
+    les = leaf_edges(g)
+    for i, e1 in enumerate(les):
+        for e2 in les[i + 1 :]:
+            if (
+                e1.support == e2.support
+                or g.has_edge(e1.support, e2.support)
+                or not colored_compatible(g, f, e1, e2)
+            ):
+                continue
+            surgery = Surgery(g, f)
+            surgery.merge(e1, e2)
+            out, _, merged = surgery.finish()
+            assert is_proper_total(out, merged)
