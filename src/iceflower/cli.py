@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List
 
 from . import formats
@@ -74,7 +75,9 @@ def _q_values(text: str) -> List[int]:
     return _ints(text, "--q")
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """Built once per process: parse_args keeps no state in the parser."""
     p = _Parser(prog="iceflower", description="star systems, lattices, and topcode strings")
     sub = p.add_subparsers(dest="cmd", required=True)
 

@@ -2,9 +2,9 @@
 
 The enumeration helpers here are used to drive whole-catalog tests: every
 graph up to isomorphism on p vertices, the connected ones, and the free
-trees.  The brute-force hamilton and Kuratowski searches exist only to
-cross-check the fast implementations in graph.py and are not meant to be
-fast themselves.
+trees (with Otter's count of them).  The brute-force hamilton and
+Kuratowski searches exist only to cross-check the fast implementations in
+graph.py and are not meant to be fast themselves.
 """
 from __future__ import annotations
 
@@ -140,19 +140,49 @@ def tree_encoding(g: Graph) -> Tuple:
     return min(encode(c, None) for c in sorted(alive))
 
 
+def count_free_trees(p: int) -> int:
+    """Number of trees on p vertices up to isomorphism (OEIS A000055).
+
+    Otter, *The number of trees* (1948): with r(n) the rooted-tree counts
+    of OEIS A000081, t(p) = r(p) - (sum_{i+j=p} r(i) r(j) - [p even] r(p/2)) / 2.
+    """
+    if p < 1:
+        raise ValueError("p >= 1 required")
+    r = [0, 1]  # r[n] = rooted trees on n vertices
+    for n in range(1, p):
+        # r(n+1) = (1/n) sum_{k=1..n} (sum_{d | k} d r(d)) r(n-k+1)
+        total = sum(
+            sum(d * r[d] for d in range(1, k + 1) if k % d == 0) * r[n - k + 1]
+            for k in range(1, n + 1)
+        )
+        r.append(total // n)
+    pairs = sum(r[i] * r[p - i] for i in range(1, p))
+    if p % 2 == 0:
+        pairs -= r[p // 2]
+    return r[p] - pairs // 2
+
+
 @lru_cache(maxsize=None)
 def free_trees(p: int) -> Tuple[Graph, ...]:
-    """All trees on p vertices up to isomorphism (Prufer sweep + AHU dedup)."""
+    """All trees on p vertices up to isomorphism, sorted by AHU encoding.
+
+    Prufer sweep, stopped at Otter's count, + AHU dedup.  Each class is
+    represented by the first sequence in lexicographic order that decodes
+    to it, so stopping once every class is seen changes no output.
+    """
     if p < 1:
         raise ValueError("p >= 1 required")
     if p == 1:
         return (Graph(1),)
+    target = count_free_trees(p)
     reps: Dict[Tuple, Graph] = {}
     for seq in product(range(1, p + 1), repeat=p - 2):
         t = prufer_to_tree(seq, p)
         key = tree_encoding(t)
         if key not in reps:
             reps[key] = t
+            if len(reps) == target:
+                break
     return tuple(reps[k] for k in sorted(reps))
 
 

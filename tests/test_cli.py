@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import iceflower
 from iceflower.cli import run
 from iceflower.coloring import TotalColoring, is_proper_total
 from iceflower.families import complete_graph, cycle_graph, path_graph
@@ -354,3 +359,28 @@ def test_rejected_input_exits_2_with_one_line_note(tmp_path, args, files):
     r = run([a.format(**paths) for a in args])
     assert (r.exit_code, r.payload) == (2, "")
     assert r.note.startswith("error: ") and "\n" not in r.note
+
+
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of one `iceflower` call in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(iceflower.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from iceflower.cli import main; main()"] + argv,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_reused_parser_gives_the_results_of_a_fresh_process(tmp_path):
+    s = _file(tmp_path, "s.txt", "132\n")
+    rejected = ["topcode", "solve", s, "--q"]  # --q without its value
+    good = ["topcode", "solve", s, "--q", "1"]
+    codes = []
+    for argv in (rejected, good, rejected):
+        r = run(argv)
+        codes.append(r.exit_code)
+        assert (r.exit_code, r.payload, r.note + "\n" if r.note else "") == _fresh_process(argv)
+    assert codes == [2, 0, 2]

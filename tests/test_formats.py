@@ -1,4 +1,7 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iceflower.graph import Graph
 from iceflower.families import complete_graph, path_graph
@@ -174,3 +177,30 @@ def test_export_dot():
     f = TotalColoring(5, {1: 1, 2: 2, 3: 3}, {(1, 2): 4, (2, 3): 5})
     dotc = export_dot(g, f)
     assert 'label="1"' in dotc and 'label="4"' in dotc
+
+
+@st.composite
+def _graphs(draw, connected=False):
+    """Random simple graphs on 1..10 vertices; connected ones grow a random
+    spanning tree first, then add chords."""
+    p = draw(st.integers(3 if connected else 1, 10))
+    edges = set()
+    if connected:
+        edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, p + 1)}
+    pairs = list(combinations(range(1, p + 1), 2))
+    if pairs:
+        edges |= draw(st.sets(st.sampled_from(pairs)))
+    return Graph(p, sorted(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs())
+def test_graph_document_round_trip_on_random_graphs(g):
+    assert read_graph(write_graph(g)) == g
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graphs(connected=True))
+def test_script_document_round_trip_on_star_decompositions(g):
+    sc = decompose_to_stars(g)
+    assert read_script(write_script(sc)) == sc

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -24,6 +25,7 @@ from iceflower.families import (
     complete_bipartite_graph,
     complete_graph,
     connected_classes,
+    count_free_trees,
     cycle_graph,
     free_trees,
     graph_classes,
@@ -32,6 +34,7 @@ from iceflower.families import (
     path_graph,
     prufer_to_tree,
     star_graph,
+    tree_encoding,
 )
 from tests.conftest import random_connected_graph
 
@@ -155,6 +158,37 @@ def test_free_tree_counts():
     assert [len(free_trees(p)) for p in range(1, 9)] == [1, 1, 1, 2, 3, 6, 11, 23]
     for t in free_trees(7):
         assert is_tree(t)
+
+
+def test_count_free_trees_matches_a000055():
+    assert [count_free_trees(p) for p in range(1, 13)] == [
+        1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551,
+    ]
+
+
+def _free_trees_full_sweep(p):
+    """Every Prufer sequence decoded, the first tree of each AHU class kept."""
+    if p == 1:
+        return (Graph(1),)
+    reps = {}
+    for seq in product(range(1, p + 1), repeat=p - 2):
+        t = prufer_to_tree(seq, p)
+        reps.setdefault(tree_encoding(t), t)
+    return tuple(reps[k] for k in sorted(reps))
+
+
+@pytest.mark.parametrize("p", range(1, 8))
+def test_free_trees_stopped_sweep_equals_full_sweep(p):
+    got = free_trees(p)
+    want = _free_trees_full_sweep(p)
+    assert [(t.p, t.edges()) for t in got] == [(t.p, t.edges()) for t in want]
+
+
+def test_free_trees_and_count_reject_p_0():
+    with pytest.raises(ValueError):
+        free_trees(0)
+    with pytest.raises(ValueError):
+        count_free_trees(0)
 
 
 def test_prufer_bijection():
