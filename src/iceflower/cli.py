@@ -208,6 +208,8 @@ def _dispatch(args) -> CommandResult:
                 "proper total; palette %d; weights %d..%d; spread %d\n"
                 % (f.palette, rep.wmin, rep.wmax, rep.bfdt),
             )
+        if args.max_colors < 1:
+            raise ValueError("--max-colors: expected a count >= 1, got %d" % args.max_colors)
         g, _ = formats.read_any_graph(_read_file(args.input))
         result = chi_fdt(g, args.max_colors)
         if result.coloring is None:

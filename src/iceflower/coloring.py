@@ -103,6 +103,11 @@ def bfdt(g: Graph, tc: TotalColoring) -> FdtReport:
 
 # -- the equal-weight solver -----------------------------------------------
 
+# The search recurses once per vertex and once per edge back to an earlier
+# vertex, so it needs at most p + q + 2 stack frames.  Python's default
+# recursion limit is 1000; this leaves about 200 frames to the callers.
+MAX_SEARCH_ELEMENTS = 800
+
 
 def _search_order(g: Graph) -> List[int]:
     """Maximum-adjacency vertex order: each next vertex sees as many
@@ -127,16 +132,55 @@ def _search_order(g: Graph) -> List[int]:
     return order
 
 
+def _candidate_colors(
+    full: int, k: int, back: List[int], vcol: List[int], emask: List[int], free: List[int]
+) -> int:
+    """Bitmask of the colors c in `full` (bits 1..M) left to a vertex whose
+    earlier neighbors sit at positions `back`, for common weight k.
+
+    c stays when, at every earlier neighbor j, it differs from f(j) and
+    one of the edge colors c + f(j) - k, c + f(j) + k is in range,
+    differs from c and f(j), and is not yet used at j.  free[t] receives
+    the edge colors still open at back[t].
+    """
+    cand = full
+    for t, j in enumerate(back):
+        cj = vcol[j]
+        a = full & ~(emask[j] | 1 << cj)
+        free[t] = a
+        m = a >> (cj + k)
+        # the minus color equals c itself when f(j) == k, and repeats the
+        # plus color when k == 0
+        if k and cj != k:
+            m |= a >> (cj - k) if cj > k else a << (k - cj)
+        cand &= m & ~(1 << cj)
+    return cand
+
+
 def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
     """Search for a proper total coloring with every edge weight equal.
 
     Tries the common weight k = 0, 1, ... in turn; within each k,
     backtracks over vertices (colors ascending) and derives edge colors,
     which have at most two candidates per edge once both ends are known.
+    Each vertex starts from a bitmask of candidate colors: c stays only
+    if it differs from every earlier neighbor j and the edge color
+    c + f(j) - k or c + f(j) + k is still free at j.  The mask drops
+    exactly the colors whose edges would fail on their own, so the
+    search visits the same nodes in the same order as trying every color,
+    and the edge step only has to keep the new edges distinct.
     Pendant twins are forced into increasing edge colors to kill the
     factorial blowup at high-degree centers.  Returns the first witness
     in this deterministic order, or None after an exhaustive search.
+
+    Raises ValueError when p + q exceeds MAX_SEARCH_ELEMENTS, the size
+    whose search depth still fits Python's default recursion limit.
     """
+    if g.p + g.q > MAX_SEARCH_ELEMENTS:
+        raise ValueError(
+            "coloring search takes graphs with p + q <= %d, got p + q = %d"
+            % (MAX_SEARCH_ELEMENTS, g.p + g.q)
+        )
     M = palette
     if M < 1:
         return None
@@ -151,7 +195,7 @@ def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
     order = _search_order(g)
     p = g.p
     pos = {v: i for i, v in enumerate(order)}
-    # neighbors at earlier positions, as (position, vertex) pairs
+    # positions of the neighbors placed before each position, ascending
     earlier: List[List[int]] = [
         sorted(pos[w] for w in g._adj[v] if pos[w] < i)
         for i, v in enumerate(order)
@@ -172,42 +216,19 @@ def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
 
     vcol = [0] * p
     emask = [0] * p  # bitmask of edge colors used at each position
-    echoice: List[Dict[int, int]] = [dict() for _ in range(p)]  # pos -> {earlier pos: color}
+    # edge colors from each position to its earlier neighbors, in order
+    echoice = [[0] * len(back) for back in earlier]
+    # edge colors still free at each earlier neighbor, for the vertex being placed
+    free = [[0] * len(back) for back in earlier]
     pend_ecol = [0] * p  # pendant positions: color of their single edge
     full = (1 << (M + 1)) - 2  # bits 1..M
-
-    def color_edges(i: int, c: int, idx: int, local: int, k: int) -> bool:
-        """Assign colors to edges between position i and earlier[i][idx:]."""
-        if idx == len(earlier[i]):
-            vcol[i] = c
-            emask[i] |= local
-            if place(i + 1, k):
-                return True
-            emask[i] &= ~local
-            vcol[i] = 0
-            return False
-        j = earlier[i][idx]
-        s = c + vcol[j]
-        opts = (s - k,) if k == 0 else (s - k, s + k)
-        for e in opts:
-            if e < 1 or e > M or e == c or e == vcol[j]:
-                continue
-            bit = 1 << e
-            if emask[j] & bit or local & bit:
-                continue
-            emask[j] |= bit
-            echoice[i][j] = e
-            if color_edges(i, c, idx + 1, local | bit, k):
-                return True
-            emask[j] &= ~bit
-            del echoice[i][j]
-        return False
 
     def place(i: int, k: int) -> bool:
         if i == p:
             return True
+        back = earlier[i]
         if is_pendant[i]:
-            j = earlier[i][0]
+            j = back[0]
             cj = vcol[j]
             lo = pend_ecol[prev_sibling[i]] + 1 if prev_sibling[i] >= 0 else 1
             for e in range(lo, M + 1):
@@ -221,37 +242,57 @@ def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
                     emask[j] |= bit
                     emask[i] = bit
                     pend_ecol[i] = e
-                    echoice[i][j] = e
+                    echoice[i][0] = e
                     if place(i + 1, k):
                         return True
-                    del echoice[i][j]
                     emask[i] = 0
                     emask[j] &= ~bit
                     vcol[i] = 0
             return False
-        nbr_cols = set()
-        for w in g._adj[order[i]]:
-            jw = pos[w]
-            if jw < i:
-                nbr_cols.add(vcol[jw])
-        for c in range(1, M + 1):
-            if c in nbr_cols:
-                continue
-            if color_edges(i, c, 0, 0, k):
+        cand = _candidate_colors(full, k, back, vcol, emask, free[i])
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            c = low.bit_length() - 1
+            vcol[i] = c
+            if color_edges(i, c, 0, 0, k) if back else place(i + 1, k):
                 return True
+        vcol[i] = 0
+        return False
+
+    def color_edges(i: int, c: int, idx: int, local: int, k: int) -> bool:
+        """Color the edges from position i to earlier[i][idx:], then place i + 1."""
+        back = earlier[i]
+        j = back[idx]
+        cj = vcol[j]
+        s = c + cj
+        a = free[i][idx] & ~local
+        last = idx + 1 == len(back)
+        for e in ((s - k, s + k) if k and cj != k else (s + k,)):
+            if e < 1 or not a >> e & 1:
+                continue
+            bit = 1 << e
+            emask[j] |= bit
+            echoice[i][idx] = e
+            if last:
+                emask[i] = local | bit
+                if place(i + 1, k):
+                    return True
+                emask[i] = 0
+            elif color_edges(i, c, idx + 1, local | bit, k):
+                return True
+            emask[j] ^= bit
         return False
 
     for k in range(0, 2 * M - 1):
         for arr in (vcol, emask, pend_ecol):
             for i in range(p):
                 arr[i] = 0
-        for d in echoice:
-            d.clear()
         if place(0, k):
             vc = {order[i]: vcol[i] for i in range(p)}
             ec: Dict[EdgeKey, int] = {}
             for i in range(p):
-                for j, e in echoice[i].items():
+                for j, e in zip(earlier[i], echoice[i]):
                     ec[_norm_edge(order[i], order[j])] = e
             tc = TotalColoring(M, vc, ec)
             assert is_proper_total(g, tc)
@@ -273,7 +314,8 @@ class ChiFdtResult:
 def chi_fdt(g: Graph, max_palette: int) -> ChiFdtResult:
     """Smallest palette M <= max_palette with an equal-weight proper total
     coloring.  Walks M upward from Delta+1, so absence below the answer is
-    proved exhaustively.  m is None when the budget is exhausted."""
+    proved exhaustively.  m is None when the budget is exhausted.  Graphs
+    above find_fdt_coloring's size limit raise ValueError."""
     lo = g.max_degree() + 1
     for M in range(lo, max_palette + 1):
         tc = find_fdt_coloring(g, M)

@@ -352,6 +352,18 @@ _ROW7 = ",".join(["1"] * 7)
             ["topcode", "solve", "{a}", "--q", "1", "--limit", "-1"], {"a": "132\n"},
             id="solve-negative-limit",
         ),
+        pytest.param(
+            ["coloring", "chi-fdt", "{a}", "--max-colors", "-1"], {"a": write_graph(path_graph(3))},
+            id="chi-fdt-negative-max-colors",
+        ),
+        pytest.param(
+            ["coloring", "chi-fdt", "{a}", "--max-colors", "0"], {"a": write_graph(path_graph(3))},
+            id="chi-fdt-zero-max-colors",
+        ),
+        pytest.param(
+            ["coloring", "chi-fdt", "{a}", "--max-colors", "6"], {"a": write_graph(path_graph(900))},
+            id="chi-fdt-above-search-size-limit",
+        ),
     ],
 )
 def test_rejected_input_exits_2_with_one_line_note(tmp_path, args, files):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from iceflower.graph import Graph
+from iceflower.graph import Graph, _norm_edge, find_proper_vertex_coloring
 from iceflower.families import (
     complete_bipartite_graph,
     complete_graph,
@@ -14,7 +14,10 @@ from iceflower.families import (
     star_graph,
 )
 from iceflower.coloring import (
+    MAX_SEARCH_ELEMENTS,
     TotalColoring,
+    _candidate_colors,
+    _search_order,
     bfdt,
     chi_fdt,
     edge_weight,
@@ -170,3 +173,190 @@ def test_random_properness_checker_agreement(rng):
         vc[v] = f.vertex(u)
         broken = TotalColoring(f.palette, vc, dict(f.edge_colors))
         assert not is_proper_total(g, broken)
+
+
+def reference_find_fdt_coloring(g, palette):
+    """The solver as it was before candidate-color masks: every vertex tries
+    each color 1..M, and each edge checks its range, its end colors and its
+    use at the earlier end on its own.  Oracle for the differential test."""
+    M = palette
+    if M < 1:
+        return None
+    if g.q == 0:
+        vc = find_proper_vertex_coloring(g, M)
+        if vc is None:
+            return None
+        return TotalColoring(M, vc, {})
+    if M < g.max_degree() + 1:
+        return None
+
+    order = _search_order(g)
+    p = g.p
+    pos = {v: i for i, v in enumerate(order)}
+    earlier = [
+        sorted(pos[w] for w in g._adj[v] if pos[w] < i)
+        for i, v in enumerate(order)
+    ]
+    is_pendant = [
+        g.degree(order[i]) == 1 and len(earlier[i]) == 1 for i in range(p)
+    ]
+    prev_sibling = [-1] * p
+    last_at = {}
+    for i in range(p):
+        if is_pendant[i]:
+            sup = earlier[i][0]
+            if sup in last_at:
+                prev_sibling[i] = last_at[sup]
+            last_at[sup] = i
+
+    vcol = [0] * p
+    emask = [0] * p
+    echoice = [dict() for _ in range(p)]
+    pend_ecol = [0] * p
+
+    def color_edges(i, c, idx, local, k):
+        if idx == len(earlier[i]):
+            vcol[i] = c
+            emask[i] |= local
+            if place(i + 1, k):
+                return True
+            emask[i] &= ~local
+            vcol[i] = 0
+            return False
+        j = earlier[i][idx]
+        s = c + vcol[j]
+        opts = (s - k,) if k == 0 else (s - k, s + k)
+        for e in opts:
+            if e < 1 or e > M or e == c or e == vcol[j]:
+                continue
+            bit = 1 << e
+            if emask[j] & bit or local & bit:
+                continue
+            emask[j] |= bit
+            echoice[i][j] = e
+            if color_edges(i, c, idx + 1, local | bit, k):
+                return True
+            emask[j] &= ~bit
+            del echoice[i][j]
+        return False
+
+    def place(i, k):
+        if i == p:
+            return True
+        if is_pendant[i]:
+            j = earlier[i][0]
+            cj = vcol[j]
+            lo = pend_ecol[prev_sibling[i]] + 1 if prev_sibling[i] >= 0 else 1
+            for e in range(lo, M + 1):
+                bit = 1 << e
+                if e == cj or emask[j] & bit:
+                    continue
+                for l in ((e - k - cj,) if k == 0 else (e - k - cj, e + k - cj)):
+                    if l < 1 or l > M or l == cj or l == e:
+                        continue
+                    vcol[i] = l
+                    emask[j] |= bit
+                    emask[i] = bit
+                    pend_ecol[i] = e
+                    echoice[i][j] = e
+                    if place(i + 1, k):
+                        return True
+                    del echoice[i][j]
+                    emask[i] = 0
+                    emask[j] &= ~bit
+                    vcol[i] = 0
+            return False
+        nbr_cols = {vcol[pos[w]] for w in g._adj[order[i]] if pos[w] < i}
+        for c in range(1, M + 1):
+            if c in nbr_cols:
+                continue
+            if color_edges(i, c, 0, 0, k):
+                return True
+        return False
+
+    for k in range(0, 2 * M - 1):
+        for arr in (vcol, emask, pend_ecol):
+            for i in range(p):
+                arr[i] = 0
+        for d in echoice:
+            d.clear()
+        if place(0, k):
+            vc = {order[i]: vcol[i] for i in range(p)}
+            ec = {}
+            for i in range(p):
+                for j, e in echoice[i].items():
+                    ec[_norm_edge(order[i], order[j])] = e
+            return TotalColoring(M, vc, ec)
+    return None
+
+
+def _differential_graphs():
+    gs = [t for p in range(1, 9) for t in free_trees(p)]
+    gs += [complete_graph(n) for n in range(1, 6)]
+    gs += [cycle_graph(n) for n in range(3, 9)]
+    gs += [star_graph(n) for n in range(1, 7)]
+    gs += [complete_bipartite_graph(a, b) for a in range(1, 4) for b in range(a, 4)]
+    rng = random.Random(7)
+    for _ in range(300):
+        p = rng.randrange(2, 10)
+        gs.append(random_connected_graph(rng, p, rng.randrange(0, p + 1)))
+    return gs
+
+
+def test_masked_search_returns_the_reference_witness_at_every_palette():
+    for g in _differential_graphs():
+        for M in range(1, 2 * g.max_degree() + 3):
+            want = reference_find_fdt_coloring(g, M)
+            got = find_fdt_coloring(g, M)
+            if want is None:
+                assert got is None, (g.edges(), M)
+            else:
+                assert got is not None, (g.edges(), M)
+                assert got.vertex_colors == want.vertex_colors, (g.edges(), M)
+                assert got.edge_colors == want.edge_colors, (g.edges(), M)
+
+
+def test_candidate_mask_is_exactly_the_colors_passing_the_edge_checks():
+    """On random partial states the mask holds every color whose edges to
+    the earlier neighbors each have one option passing the one-edge checks
+    of the reference solver, and no other color."""
+    rng = random.Random(11)
+    for _ in range(4000):
+        M = rng.randrange(1, 13)
+        k = rng.randrange(0, 2 * M - 1)
+        n = rng.randrange(0, 5)
+        vcol = [rng.randrange(1, M + 1) for _ in range(n)]
+        emask = [sum(1 << e for e in range(1, M + 1) if rng.random() < 0.3) for _ in range(n)]
+        full = (1 << (M + 1)) - 2
+        free = [0] * n
+        cand = _candidate_colors(full, k, list(range(n)), vcol, emask, free)
+
+        def edge_ok(e, c, j):
+            return 1 <= e <= M and e != c and e != vcol[j] and not emask[j] >> e & 1
+
+        want = {
+            c
+            for c in range(1, M + 1)
+            if c not in vcol
+            and all(
+                any(edge_ok(e, c, j) for e in ((c + vcol[j] - k,) if k == 0 else (c + vcol[j] - k, c + vcol[j] + k)))
+                for j in range(n)
+            )
+        }
+        assert {c for c in range(M + 2) if cand >> c & 1} == want, (M, k, vcol, emask)
+        for j in range(n):
+            assert free[j] == sum(1 << e for e in range(1, M + 1) if e != vcol[j] and not emask[j] >> e & 1)
+
+
+def test_search_size_limit_is_a_value_error_not_a_recursion_error():
+    with pytest.raises(ValueError, match="p \\+ q <= %d" % MAX_SEARCH_ELEMENTS):
+        find_fdt_coloring(path_graph(900), 6)
+    with pytest.raises(ValueError):
+        chi_fdt(path_graph(900), 6)
+    largest = MAX_SEARCH_ELEMENTS // 2  # a path has p + q = 2p - 1
+    assert 2 * largest - 1 <= MAX_SEARCH_ELEMENTS < 2 * (largest + 1) - 1
+    res = chi_fdt(path_graph(largest), 6)
+    assert res.m is not None
+    assert is_proper_total(path_graph(largest), res.coloring)
+    with pytest.raises(ValueError):
+        chi_fdt(path_graph(largest + 1), 6)

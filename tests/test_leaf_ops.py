@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from iceflower.graph import Graph, are_isomorphic, connected_components, is_connected
 from iceflower.families import cycle_graph, path_graph, star_graph
@@ -219,6 +219,53 @@ def test_colored_coincide_round_trip_on_random_cases():
         assert back.graph.p == g.p and back.graph.q == g.q
         assert are_isomorphic(back.graph, g)
         done += 1
+
+
+@st.composite
+def _graph_and_internal_edge(draw):
+    """A random simple graph on 3..9 vertices, possibly disconnected, with
+    one of its internal edges (both ends of degree >= 2)."""
+    p = draw(st.integers(3, 9))
+    pairs = [(u, v) for u in range(1, p + 1) for v in range(u + 1, p + 1)]
+    g = Graph(p, sorted(draw(st.sets(st.sampled_from(pairs), min_size=2))))
+    internal = [(u, v) for u, v in g.edges() if g.degree(u) >= 2 and g.degree(v) >= 2]
+    assume(internal)
+    return g, draw(st.sampled_from(internal))
+
+
+def _relabeled(g, mapping):
+    return Graph(g.p, [(mapping[u], mapping[v]) for u, v in g.edges()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_and_internal_edge())
+def test_leaf_split_then_coincide_gives_back_the_graph(ge):
+    g, (u, v) = ge
+    split = leaf_split(g, u, v)
+    back = leaf_coincide(split.graph, LeafEdge(u, split.leaf_at_u), LeafEdge(v, split.leaf_at_v))
+    assert sorted(back.vertex_map) == list(g.vertices())
+    assert _relabeled(g, back.vertex_map) == back.graph
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_and_internal_edge(), st.randoms(use_true_random=False))
+def test_colored_leaf_split_then_coincide_gives_back_graph_and_coloring(ge, rnd):
+    g, (u, v) = ge
+    f = greedy_proper_total(g)
+    colors = list(range(1, f.palette + 1))
+    rnd.shuffle(colors)  # renaming colors keeps a total coloring proper
+    f = TotalColoring(
+        f.palette,
+        {w: colors[c - 1] for w, c in f.vertex_colors.items()},
+        {e: colors[c - 1] for e, c in f.edge_colors.items()},
+    )
+    split, f2 = colored_leaf_split(g, f, u, v)
+    back, f3 = colored_leaf_coincide(
+        split.graph, f2, LeafEdge(u, split.leaf_at_u), LeafEdge(v, split.leaf_at_v)
+    )
+    assert sorted(back.vertex_map) == list(g.vertices())
+    assert _relabeled(g, back.vertex_map) == back.graph
+    assert f.relabel(back.vertex_map) == f3
 
 
 @st.composite

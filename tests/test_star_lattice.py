@@ -1,7 +1,9 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
 
 from iceflower.graph import (
     Graph,
@@ -41,6 +43,7 @@ from iceflower.lattice import (
     uncolored_lattice_member,
 )
 from iceflower.system import IceFlowerSystem, build_uniform_fdt_system, make_star
+from tests.test_formats import _graphs
 from tests.conftest import random_connected_graph
 
 
@@ -94,6 +97,20 @@ def test_roundtrip_random_p_le_12():
         g = random_connected_graph(rng, p, rng.randrange(0, p))
         sc = decompose_to_stars(g)
         assert are_isomorphic(recompose(sc), g)
+
+
+def _nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices())
+    h.add_edges_from(g.edges())
+    return h
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graphs(connected=True))
+def test_recompose_of_decompose_is_isomorphic(g):
+    # networkx as the oracle: canonical_form is exponential on dense graphs
+    assert nx.is_isomorphic(_nx(recompose(decompose_to_stars(g))), _nx(g))
 
 
 def test_uncolored_member_checks_degrees():
