@@ -61,7 +61,10 @@ def graph_classes(p: int) -> Tuple[Graph, ...]:
     """All graphs on p vertices up to isomorphism, canonically labeled.
 
     Built by augmentation: each class on p vertices arises from a class on
-    p-1 vertices plus a neighborhood for the new vertex.
+    p-1 vertices plus a neighborhood for the new vertex.  Only augmentations
+    in which the new vertex has minimum degree are canonicalized.  Every
+    class H has a vertex v of minimum degree and H - v is one of the bases,
+    so the copy of H that adds v back last passes and no class is lost.
     """
     if p < 1:
         raise ValueError("p >= 1 required")
@@ -70,7 +73,11 @@ def graph_classes(p: int) -> Tuple[Graph, ...]:
     seen: Dict[Tuple[int, Tuple], Graph] = {}
     for g in graph_classes(p - 1):
         base = g.edges()
+        deg = [g.degree(i + 1) for i in range(p - 1)]
         for mask in range(1 << (p - 1)):
+            k = mask.bit_count()
+            if any(k > deg[i] + (mask >> i & 1) for i in range(p - 1)):
+                continue
             edges = list(base)
             for i in range(p - 1):
                 if mask >> i & 1:

@@ -344,7 +344,8 @@ def canonical_form(g: Graph) -> Tuple[int, Tuple[Edge, ...]]:
     """(p, edge tuple) invariant under relabeling: equal iff isomorphic.
 
     Backtracks over relabelings compatible with the refined color cells,
-    keeping the lexicographically smallest adjacency encoding.
+    keeping the lexicographically smallest adjacency encoding.  A subtree
+    is cut as soon as its prefix exceeds the best encoding found so far.
     """
     p = g.p
     if g.q == 0:
@@ -359,16 +360,23 @@ def canonical_form(g: Graph) -> Tuple[int, Tuple[Edge, ...]]:
 
     best_cols: Optional[List[int]] = None
     best_layout: Optional[List[int]] = None
+    # bumped on every new best; a new best found below a node shares its
+    # prefix, so a prefix marked "below the best" at an older generation
+    # equals the best again
+    gen = 0
     layout: List[int] = []
     pos_of = {}
     cols: List[int] = []
 
-    def place(i: int, tight: bool):
-        nonlocal best_cols, best_layout
+    def place(i: int, below: int):
+        # below: the generation at which this prefix fell below the best,
+        # or -1 while it equals the best (or no best exists yet)
+        nonlocal best_cols, best_layout, gen
         if i == p:
             if best_cols is None or cols < best_cols:
                 best_cols = list(cols)
                 best_layout = list(layout)
+                gen += 1
             return
         cell = remaining[slot_cell[i]]
         for v in list(cell):
@@ -377,24 +385,22 @@ def canonical_form(g: Graph) -> Tuple[int, Tuple[Edge, ...]]:
                 j = pos_of.get(w)
                 if j is not None:
                     col |= 1 << j
-            t = tight
-            if best_cols is not None:
-                if t:
-                    if col > best_cols[i]:
-                        continue
-                    if col < best_cols[i]:
-                        t = False
+            mark = below
+            if best_cols is not None and below != gen:
+                if col > best_cols[i]:
+                    continue
+                mark = gen if col < best_cols[i] else -1
             cell.remove(v)
             layout.append(v)
             pos_of[v] = i
             cols.append(col)
-            place(i + 1, t)
+            place(i + 1, mark)
             cols.pop()
             del pos_of[v]
             layout.pop()
             cell.append(v)
 
-    place(0, True)
+    place(0, -1)
     assert best_layout is not None
     newid = {v: i + 1 for i, v in enumerate(best_layout)}
     return (p, tuple(sorted(_norm_edge(newid[u], newid[v]) for u, v in g._edges)))
@@ -433,21 +439,23 @@ def find_proper_vertex_coloring(g: Graph, colors: int) -> Optional[Dict[int, int
         return None
     order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
     assign: Dict[int, int] = {}
-
-    def go(i: int) -> bool:
-        if i == len(order):
-            return True
+    # explicit stack: next_color[i] is the next color to try at order[i]
+    next_color = [1] * len(order)
+    i = 0
+    while 0 <= i < len(order):
         v = order[i]
+        assign.pop(v, None)
         used = {assign[w] for w in g._adj[v] if w in assign}
-        for c in range(1, colors + 1):
-            if c in used:
-                continue
-            assign[v] = c
-            if go(i + 1):
-                return True
-            del assign[v]
-        return False
-
-    if go(0):
-        return dict(sorted(assign.items()))
-    return None
+        c = next_color[i]
+        while c in used:
+            c += 1
+        if c > colors:
+            next_color[i] = 1
+            i -= 1
+            continue
+        assign[v] = c
+        next_color[i] = c + 1
+        i += 1
+    if i < 0:
+        return None
+    return dict(sorted(assign.items()))

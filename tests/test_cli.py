@@ -74,6 +74,13 @@ def test_lattice_planar(tmp_path):
     assert len(colors) == 4 and len(set(colors)) == 4  # K4 forces all four
 
 
+def test_lattice_planar_on_a_1500_cycle_is_a_yes_not_a_crash(tmp_path):
+    c = _file(tmp_path, "c1500.graph", write_graph(cycle_graph(1500)))
+    r = run(["lattice", "check", "planar", c])
+    assert r.exit_code == 0, r.note
+    assert sorted(set(r.payload.split()[1:])) == ["1", "2"]
+
+
 def test_lattice_hamiltonian(tmp_path):
     c4 = _file(tmp_path, "c4.graph", write_graph(cycle_graph(4)))
     r = run(["lattice", "check", "hamiltonian", c4])

@@ -3,8 +3,10 @@ from itertools import product
 
 import pytest
 
+from iceflower import families
 from iceflower.graph import (
     Graph,
+    _refine_colors,
     are_isomorphic,
     canonical_form,
     canonical_relabel,
@@ -214,3 +216,169 @@ def test_proper_vertex_coloring():
     for u, v in cycle_graph(5).edges():
         assert f[u] != f[v]
     assert find_proper_vertex_coloring(complete_graph(4), 3) is None
+
+
+def test_proper_vertex_coloring_of_a_1500_cycle_needs_no_recursion():
+    g = cycle_graph(1500)
+    f = find_proper_vertex_coloring(g, 4)
+    assert f is not None and sorted(f) == list(g.vertices())
+    assert all(f[u] != f[v] for u, v in g.edges())
+    assert set(f.values()) == {1, 2}  # even cycle, colors tried ascending
+
+
+def _proper_vertex_coloring_recursive(g, colors):
+    """The recursive search that find_proper_vertex_coloring replaced."""
+    if colors < 1:
+        return None
+    order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
+    assign = {}
+
+    def go(i):
+        if i == len(order):
+            return True
+        v = order[i]
+        used = {assign[w] for w in g.neighbors(v) if w in assign}
+        for c in range(1, colors + 1):
+            if c in used:
+                continue
+            assign[v] = c
+            if go(i + 1):
+                return True
+            del assign[v]
+        return False
+
+    if go(0):
+        return dict(sorted(assign.items()))
+    return None
+
+
+def test_proper_vertex_coloring_matches_the_recursive_search():
+    rng = random.Random(1500)
+    for _ in range(150):
+        p = rng.randrange(1, 13)
+        g = random_connected_graph(rng, p, rng.randrange(0, 2 * p + 1))
+        for colors in range(0, 6):
+            assert find_proper_vertex_coloring(g, colors) == (
+                _proper_vertex_coloring_recursive(g, colors)
+            )
+
+
+def _graph_classes_full_sweep(p):
+    """Every augmentation of every class on p - 1 vertices, canonicalized."""
+    if p == 1:
+        return (Graph(1),)
+    seen = {}
+    for g in _graph_classes_full_sweep(p - 1):
+        for mask in range(1 << (p - 1)):
+            edges = g.edges() + [(i + 1, p) for i in range(p - 1) if mask >> i & 1]
+            key = canonical_form(Graph(p, edges))
+            seen.setdefault(key, Graph(p, key[1]))
+    return tuple(seen[k] for k in sorted(seen))
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_graph_classes_min_degree_filter_equals_full_sweep(p):
+    got = graph_classes(p)
+    want = _graph_classes_full_sweep(p)
+    assert [(g.p, g.edges()) for g in got] == [(g.p, g.edges()) for g in want]
+
+
+def test_graph_classes_7_counts_a000088_and_a001349():
+    assert len(graph_classes(7)) == 1044
+    assert len(connected_classes(7)) == 853
+
+
+def test_graph_classes_7_canonicalizes_2690_augmentations(monkeypatch):
+    real = families.canonical_form
+    calls = []
+
+    def counting(g):
+        calls.append(g.p)
+        return real(g)
+
+    graph_classes.cache_clear()
+    try:
+        graph_classes(6)
+        monkeypatch.setattr(families, "canonical_form", counting)
+        graph_classes(7)
+    finally:
+        monkeypatch.undo()
+        # drop every tuple built under the wrapper; later callers rebuild
+        graph_classes.cache_clear()
+    assert len(calls) == 2690 and set(calls) == {7}
+
+
+def _canonical_form_reference(g):
+    """canonical_form as it was before it pruned on the current best."""
+    p = g.p
+    if g.q == 0:
+        return (p, ())
+    cells = _refine_colors(g)
+    slot_cell = []
+    for ci, cell in enumerate(cells):
+        slot_cell.extend([ci] * len(cell))
+    remaining = [list(c) for c in cells]
+    best = {}
+    layout, pos_of, cols = [], {}, []
+
+    def place(i, tight):
+        if i == p:
+            if "cols" not in best or cols < best["cols"]:
+                best["cols"], best["layout"] = list(cols), list(layout)
+            return
+        cell = remaining[slot_cell[i]]
+        for v in list(cell):
+            col = 0
+            for w in g.neighbors(v):
+                j = pos_of.get(w)
+                if j is not None:
+                    col |= 1 << j
+            t = tight
+            if "cols" in best and t:
+                if col > best["cols"][i]:
+                    continue
+                if col < best["cols"][i]:
+                    t = False
+            cell.remove(v)
+            layout.append(v)
+            pos_of[v] = i
+            cols.append(col)
+            place(i + 1, t)
+            cols.pop()
+            del pos_of[v]
+            layout.pop()
+            cell.append(v)
+
+    place(0, True)
+    newid = {v: i + 1 for i, v in enumerate(best["layout"])}
+    return (p, tuple(sorted(
+        (min(newid[u], newid[v]), max(newid[u], newid[v])) for u, v in g.edges()
+    )))
+
+
+def _shuffled(rng, g):
+    perm = list(g.vertices())
+    rng.shuffle(perm)
+    return g.relabel({v: perm[v - 1] for v in g.vertices()})
+
+
+def test_canonical_form_equals_the_unpruned_reference():
+    rng = random.Random(31)
+    for p in range(1, 7):
+        for g in graph_classes(p):
+            h = _shuffled(rng, g)
+            assert canonical_form(h) == _canonical_form_reference(h)
+    for _ in range(200):
+        p = rng.randrange(8, 11)
+        h = random_connected_graph(rng, p, rng.randrange(0, 2 * p))
+        assert canonical_form(h) == _canonical_form_reference(h)
+
+
+def test_canonical_form_of_symmetric_12_vertex_graphs_is_fast_and_invariant():
+    # each of these calls took about 10 s before the search pruned on the
+    # current best
+    rng = random.Random(12)
+    cycle = cycle_graph(12)
+    mobius = Graph(12, cycle.edges() + [(i, i + 6) for i in range(1, 7)])
+    for g in (cycle, mobius):
+        assert canonical_form(_shuffled(rng, g)) == canonical_form(g)
