@@ -279,23 +279,23 @@ def find_hamilton_cycle(g: Graph) -> Optional[List[int]]:
                     touches_one = True
         return touches_cur and touches_one
 
-    def extend(cur: int) -> bool:
-        if len(path) == p:
-            return g.has_edge(cur, 1)
-        if not unvisited_ok(cur):
-            return False
-        for w in adj[cur]:
-            if not visited[w]:
-                visited[w] = True
-                path.append(w)
-                if extend(w):
-                    return True
-                path.pop()
-                visited[w] = False
-        return False
+    def tries(cur: int):
+        # the neighbors to try after cur, ascending; none once a prune fails
+        return iter(adj[cur] if unvisited_ok(cur) else ())
 
-    if extend(1):
-        return list(path)
+    # explicit stack: stack[d] holds the untried neighbors of path[d]
+    stack = [tries(1)]
+    while stack:
+        w = next((w for w in stack[-1] if not visited[w]), None)
+        if w is None:
+            stack.pop()
+            visited[path.pop()] = False
+            continue
+        visited[w] = True
+        path.append(w)
+        if len(path) == p and g.has_edge(w, 1):
+            return path
+        stack.append(tries(w) if len(path) < p else iter(()))
     return None
 
 

@@ -171,10 +171,6 @@ def decompose_to_stars(g: Graph) -> CoincideScript:
     vertex w, merged along the internal edges.  Base stars are the
     distinct internal degrees, ascending."""
     sizes = sorted({g.degree(w) for w in g.vertices() if g.degree(w) >= 2})
-    if not sizes:
-        if g.q == 0:
-            raise ValueError("edgeless graph has no star expression")
-        raise ValueError("no internal vertex (p <= 2); nothing to express")
     script = _script_over_base(g, sizes)
     assert script is not None  # sizes were read off g itself
     return script
@@ -254,46 +250,33 @@ def _chord_graphs(
     n: int, residual: List[int]
 ) -> List[List[Tuple[int, int]]]:
     """All simple chord sets on spine positions 0..n-1 realizing the given
-    degrees while avoiding the n cycle edges."""
-    pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if not (j - i == 1 or (i == 0 and j == n - 1))
-    ]
-    # how many not-yet-decided pairs touch each position
-    avail = [0] * n
-    for i, j in pairs:
-        avail[i] += 1
-        avail[j] += 1
+    degrees while avoiding the n cycle edges.
+
+    The lowest position that still needs chords takes its next one, to a
+    partner beyond its previous one.  That builds each set in one order
+    only (its sorted order), one recursion level per chord.
+    """
+    res = list(residual)
     out: List[List[Tuple[int, int]]] = []
     chosen: List[Tuple[int, int]] = []
-    res = list(residual)
 
-    def rec(idx: int) -> None:
-        if all(r == 0 for r in res):
+    def rec(i: int, last: int) -> None:
+        while i < n and res[i] == 0:
+            i, last = i + 1, i + 1
+        if i == n:
             out.append(list(chosen))
             return
-        if idx == len(pairs):
-            return
-        i, j = pairs[idx]
-        avail[i] -= 1
-        avail[j] -= 1
-        if res[i] > 0 and res[j] > 0:
-            res[i] -= 1
-            res[j] -= 1
-            chosen.append((i, j))
-            rec(idx + 1)
-            chosen.pop()
-            res[i] += 1
-            res[j] += 1
-        # skip this pair only if everyone can still be served without it
-        if all(res[v] <= avail[v] for v in range(n)):
-            rec(idx + 1)
-        avail[i] += 1
-        avail[j] += 1
+        res[i] -= 1
+        for j in range(last + 1, n):
+            if res[j] and 1 < j - i < n - 1:
+                res[j] -= 1
+                chosen.append((i, j))
+                rec(i, j)
+                chosen.pop()
+                res[j] += 1
+        res[i] += 1
 
-    rec(0)
+    rec(0, 0)
     return out
 
 
@@ -327,21 +310,15 @@ def close_to_hamiltonian(
         chord_sets = _chord_graphs(n, residual)
     else:
         rng = random.Random(seed)
-        slots = []
-        for i in range(n):
-            slots.extend([i] * residual[i])
+        slots = [i for i in range(n) for _ in range(residual[i])]
         seen_sets = set()
         for _ in range(samples):
             order = list(slots)
             rng.shuffle(order)
             pairing = [_norm_edge(a, b) for a, b in zip(order[::2], order[1::2])]
-            if any(a == b for a, b in pairing):
-                continue
-            if any(b - a == 1 or (a == 0 and b == n - 1) for a, b in pairing):
-                continue
-            if len(set(pairing)) != len(pairing):
-                continue
-            seen_sets.add(tuple(sorted(pairing)))
+            # a chord is neither a loop nor a cycle edge, and no pair repeats
+            if all(1 < b - a < n - 1 for a, b in pairing) and len(set(pairing)) == len(pairing):
+                seen_sets.add(tuple(sorted(pairing)))
         chord_sets = [list(s) for s in sorted(seen_sets)]
 
     if not chord_sets:
@@ -365,11 +342,7 @@ def close_to_hamiltonian(
 
 
 def hamiltonian_lattice_member(g: Graph) -> bool:
-    """Connected, min degree >= 2, and carrying a full closed tour."""
-    if not is_connected(g):
-        return False
-    if min(g.degree(v) for v in g.vertices()) < 2:
-        return False
+    """g carries a full closed tour (so it is connected, min degree >= 2)."""
     return find_hamilton_cycle(g) is not None
 
 

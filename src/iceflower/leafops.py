@@ -16,7 +16,7 @@ renumbered once at the end, with the same result as the one-step chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .graph import Graph, _norm_edge
 from .coloring import TotalColoring, is_proper_total
@@ -27,13 +27,18 @@ class LeafEdge(NamedTuple):
     leaf: int
 
 
-def validate_leaf_edge(g: Graph, e: LeafEdge) -> None:
-    if not g.has_edge(e.support, e.leaf):
-        raise ValueError("(%d,%d) is not an edge" % (e.support, e.leaf))
-    if g.degree(e.leaf) != 1:
-        raise ValueError("vertex %d is not a leaf" % e.leaf)
-    if g.degree(e.support) < 2:
-        raise ValueError("support %d has no eligible degree" % e.support)
+def check_leaf_edge(
+    adj: Sequence[Set[int]], e: LeafEdge, label: Callable[[int], int] = int
+) -> None:
+    """Reject e unless it is a leaf-edge of the adjacency sets adj (indexed
+    by vertex id, slot 0 unused).  Error messages name vertex v as
+    label(v), v itself by default."""
+    if not (1 <= e.support < len(adj) and e.leaf in adj[e.support]):
+        raise ValueError("(%d,%d) is not an edge" % (label(e.support), label(e.leaf)))
+    if len(adj[e.leaf]) != 1:
+        raise ValueError("vertex %d is not a leaf" % label(e.leaf))
+    if len(adj[e.support]) < 2:
+        raise ValueError("support %d has no eligible degree" % label(e.support))
 
 
 def leaf_edges(g: Graph) -> list:
@@ -114,19 +119,11 @@ class Surgery:
     def _label(self, v: int) -> int:
         return v - sum(1 for x in self.gone if x < v)
 
-    def _check_leaf_edge(self, e: LeafEdge) -> None:
-        if not (1 <= e.support <= self.p and e.leaf in self.adj[e.support]):
-            raise ValueError("(%d,%d) is not an edge" % (self._label(e.support), self._label(e.leaf)))
-        if len(self.adj[e.leaf]) != 1:
-            raise ValueError("vertex %d is not a leaf" % self._label(e.leaf))
-        if len(self.adj[e.support]) < 2:
-            raise ValueError("support %d has no eligible degree" % self._label(e.support))
-
     def merge(self, e1: LeafEdge, e2: LeafEdge) -> None:
         """Delete both leaves and join the supports; the state is left
         untouched when the merge is rejected."""
-        self._check_leaf_edge(e1)
-        self._check_leaf_edge(e2)
+        check_leaf_edge(self.adj, e1, self._label)
+        check_leaf_edge(self.adj, e2, self._label)
         u, v = e1.support, e2.support
         if self.theta is not None:
             vc, ec = self.theta.vertex_colors, self.ec
@@ -197,8 +194,8 @@ def disjoint_union(g1: Graph, g2: Graph) -> Tuple[Graph, int]:
 
 def leaf_coincide_across(g1: Graph, e1: LeafEdge, g2: Graph, e2: LeafEdge) -> AcrossResult:
     """Coincide a leaf-edge of g1 with one of g2 after a disjoint union."""
-    validate_leaf_edge(g1, e1)
-    validate_leaf_edge(g2, e2)
+    check_leaf_edge(g1._adj, e1)
+    check_leaf_edge(g2._adj, e2)
     union, shift = disjoint_union(g1, g2)
     res = leaf_coincide(
         union, e1, LeafEdge(e2.support + shift, e2.leaf + shift)
@@ -239,8 +236,8 @@ def colored_compatible(
     """The three color equalities that allow two leaf-edges to merge:
     support of each matches the leaf of the other, and edge colors agree.
     A coloring missing one of the six colors raises ValueError."""
-    validate_leaf_edge(g, e1)
-    validate_leaf_edge(g, e2)
+    check_leaf_edge(g._adj, e1)
+    check_leaf_edge(g._adj, e2)
     if any(v not in theta.vertex_colors for v in e1 + e2) or any(
         _norm_edge(*e) not in theta.edge_colors for e in (e1, e2)
     ):

@@ -163,6 +163,19 @@ def test_hamiltonian_build(tmp_path):
     assert r3.exit_code == 2  # spine needs at least three vertices
 
 
+def test_hamiltonian_build_on_a_60_vertex_spine():
+    r = run(["hamiltonian", "build", ",".join(["2"] * 57 + ["3", "2", "3"])])
+    assert r.exit_code == 0, r.note
+    assert r.payload.split("\n", 1)[0] == "closures 1 partial 0"
+
+
+def test_lattice_hamiltonian_on_a_1200_cycle_is_a_yes_not_a_crash(tmp_path):
+    c = _file(tmp_path, "c1200.graph", write_graph(cycle_graph(1200)))
+    r = run(["lattice", "check", "hamiltonian", c])
+    assert r.exit_code == 0, r.note
+    assert r.payload == "cycle " + " ".join(str(v) for v in range(1, 1201)) + "\n"
+
+
 def test_coloring_verify(tmp_path):
     f = TotalColoring(3, {1: 1, 2: 2}, {(1, 2): 3})
     good = _file(tmp_path, "k2.colored", write_colored(Graph(2, [(1, 2)]), f))

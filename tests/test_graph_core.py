@@ -118,6 +118,79 @@ def test_hamilton_against_bruteforce():
             assert is_hamilton_cycle(g, fast)
 
 
+def _hamilton_cycle_recursive(g):
+    """The earlier find_hamilton_cycle: one recursion level per vertex,
+    neighbors ascending, the same unvisited-region prune."""
+    p = g.p
+    if p < 3 or min(g.degree(v) for v in g.vertices()) < 2:
+        return None
+    adj = [None] + [g.neighbors(v) for v in g.vertices()]
+    visited = [False] * (p + 1)
+    visited[1] = True
+    path = [1]
+
+    def unvisited_ok(cur):
+        start = None
+        for v in range(2, p + 1):
+            if not visited[v]:
+                free = sum(1 for w in adj[v] if not visited[w] or w == cur or w == 1)
+                if free < 2:
+                    return False
+                start = v
+        if start is None:
+            return True
+        seen = {start}
+        queue = [start]
+        while queue:
+            v = queue.pop()
+            for w in adj[v]:
+                if not visited[w] and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        rest = [v for v in range(2, p + 1) if not visited[v]]
+        return (
+            all(v in seen for v in rest)
+            and any(cur in adj[v] for v in rest)
+            and any(1 in adj[v] for v in rest)
+        )
+
+    def extend(cur):
+        if len(path) == p:
+            return g.has_edge(cur, 1)
+        if not unvisited_ok(cur):
+            return False
+        for w in adj[cur]:
+            if not visited[w]:
+                visited[w] = True
+                path.append(w)
+                if extend(w):
+                    return True
+                path.pop()
+                visited[w] = False
+        return False
+
+    return list(path) if extend(1) else None
+
+
+def test_hamilton_stack_search_matches_the_recursive_search():
+    rng = random.Random(17)
+    graphs = []
+    for p in range(1, 8):
+        for g in graph_classes(p):
+            perm = list(g.vertices())
+            rng.shuffle(perm)
+            graphs += [g, g.relabel({v: perm[v - 1] for v in g.vertices()})]
+    for _ in range(200):
+        p = rng.randint(8, 12)
+        graphs.append(random_connected_graph(rng, p, rng.randrange(p, 3 * p)))
+    found = 0
+    for g in graphs:
+        cycle = find_hamilton_cycle(g)
+        assert cycle == _hamilton_cycle_recursive(g), g
+        found += cycle is not None
+    assert found > 300
+
+
 def test_planarity_against_subdivision_search():
     assert not is_planar(complete_graph(5))
     assert not is_planar(complete_bipartite_graph(3, 3))

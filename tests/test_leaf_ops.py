@@ -329,3 +329,26 @@ def test_compatible_leaf_edges_of_a_proper_coloring_always_merge(gf):
             surgery.merge(e1, e2)
             out, _, merged = surgery.finish()
             assert is_proper_total(out, merged)
+
+
+def test_leaf_edge_errors_name_the_ids_a_one_step_chain_shows():
+    g = Graph(10, [(1, 2), (1, 3), (1, 4), (5, 6), (5, 7), (5, 8), (9, 10)])
+    surgery = Surgery(g)
+    surgery.merge(LeafEdge(1, 2), LeafEdge(5, 6))
+    chain = leaf_coincide(g, LeafEdge(1, 2), LeafEdge(5, 6))
+    m = chain.vertex_map
+    for bad, msg in (
+        (LeafEdge(3, 8), "(2,6) is not an edge"),
+        (LeafEdge(7, 5), "vertex 4 is not a leaf"),
+        (LeafEdge(9, 10), "support 7 has no eligible degree"),
+    ):
+        with pytest.raises(ValueError) as batch:
+            surgery.merge(bad, LeafEdge(1, 4))
+        assert str(batch.value) == msg
+        with pytest.raises(ValueError) as one:
+            leaf_coincide(chain.graph, LeafEdge(m[bad.support], m[bad.leaf]), LeafEdge(m[1], m[4]))
+        assert str(one.value) == msg
+    with pytest.raises(ValueError, match="support 9 has no eligible degree"):
+        leaf_coincide_across(g, LeafEdge(9, 10), g, LeafEdge(1, 4))
+    with pytest.raises(ValueError, match="vertex 5 is not a leaf"):
+        colored_compatible(g, greedy_proper_total(g), LeafEdge(1, 4), LeafEdge(7, 5))

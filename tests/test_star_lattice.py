@@ -20,6 +20,7 @@ from iceflower.families import (
     complete_graph,
     connected_classes,
     cycle_graph,
+    graph_classes,
     path_graph,
     star_graph,
 )
@@ -469,3 +470,116 @@ def test_haired_cycles_and_closures_match_one_step_chain():
                 assert got == _outcome(_one_step_closures, hc)
                 checked += 1
     assert checked > 100
+
+
+def _chord_graphs_reference(n, residual):
+    """The earlier chord search: one decision per spine pair, in pair
+    order, with a prune on how many undecided pairs each position has."""
+    pairs = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if not (j - i == 1 or (i == 0 and j == n - 1))
+    ]
+    avail = [0] * n
+    for i, j in pairs:
+        avail[i] += 1
+        avail[j] += 1
+    out = []
+    chosen = []
+    res = list(residual)
+
+    def rec(idx):
+        if all(r == 0 for r in res):
+            out.append(list(chosen))
+            return
+        if idx == len(pairs):
+            return
+        i, j = pairs[idx]
+        avail[i] -= 1
+        avail[j] -= 1
+        if res[i] > 0 and res[j] > 0:
+            res[i] -= 1
+            res[j] -= 1
+            chosen.append((i, j))
+            rec(idx + 1)
+            chosen.pop()
+            res[i] += 1
+            res[j] += 1
+        if all(res[v] <= avail[v] for v in range(n)):
+            rec(idx + 1)
+        avail[i] += 1
+        avail[j] += 1
+
+    rec(0)
+    return out
+
+
+def _residual_vectors():
+    for n in range(3, 8):
+        for res in itertools.product(range(3), repeat=n):
+            if sum(res) % 2 == 0:
+                yield n, list(res)
+    rng = random.Random(9)
+    for _ in range(200):
+        n = rng.randint(9, 14)
+        res = [0] * n
+        for _ in range(2 * rng.randint(1, 6)):
+            res[rng.choice([i for i in range(n) if res[i] < 3])] += 1
+        yield n, res
+
+
+def test_chord_graphs_match_the_pair_search_exactly_once():
+    checked = 0
+    for n, res in _residual_vectors():
+        got = [tuple(sorted(c)) for c in _chord_graphs(n, res)]
+        assert len(set(got)) == len(got), (n, res)
+        assert set(got) == {tuple(sorted(c)) for c in _chord_graphs_reference(n, res)}, (n, res)
+        checked += 1
+    assert checked == 1836
+
+
+def test_chord_graphs_recurse_once_per_chord_on_a_long_spine():
+    # 60 spine positions, one chord to place: the pair search recursed
+    # once per candidate pair and overflowed the stack here
+    res = [0] * 60
+    res[57] = res[59] = 1
+    assert _chord_graphs(60, res) == [[(57, 59)]]
+
+
+def test_sampled_closures_drop_pairings_that_repeat_a_chord():
+    # the only chord-degree-respecting pairing joins spine 0 and 2 twice
+    with pytest.raises(ValueError, match="no pairing avoids multi-edges"):
+        close_to_hamiltonian(build_haired_cycle([4, 2, 4, 2]), exhaustive_limit=0)
+
+
+def test_decompose_names_the_failed_precondition():
+    for g, msg in (
+        (Graph(3), "edgeless"),
+        (Graph(2, [(1, 2)]), "no internal vertex"),
+        (Graph(4, [(1, 2), (3, 4)]), "connected graph"),
+    ):
+        with pytest.raises(ValueError, match=msg):
+            decompose_to_stars(g)
+
+
+def _hamiltonian_member_reference(g):
+    """Connected, min degree >= 2, and carrying a full closed tour."""
+    if not is_connected(g):
+        return False
+    if min(g.degree(v) for v in g.vertices()) < 2:
+        return False
+    return find_hamilton_cycle(g) is not None
+
+
+def test_hamiltonian_member_matches_the_three_check_definition():
+    rng = random.Random(13)
+    checked = 0
+    for p in range(1, 8):
+        for g in graph_classes(p):
+            perm = list(g.vertices())
+            rng.shuffle(perm)
+            for h in (g, g.relabel({v: perm[v - 1] for v in g.vertices()})):
+                assert hamiltonian_lattice_member(h) == _hamiltonian_member_reference(h)
+                checked += 1
+    assert checked == 2504
