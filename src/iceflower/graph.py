@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 Edge = Tuple[int, int]
 
 
@@ -304,6 +302,8 @@ def find_hamilton_cycle(g: Graph) -> Optional[List[int]]:
 
 def is_planar(g: Graph) -> bool:
     """Exact planarity (left-right test via networkx)."""
+    import networkx as nx  # here, not at the top: it is most of `import iceflower`
+
     h = nx.Graph()
     h.add_nodes_from(g.vertices())
     h.add_edges_from(g.edges())
@@ -359,23 +359,20 @@ def canonical_form(g: Graph) -> Tuple[int, Tuple[Edge, ...]]:
     adj = g._adj
 
     best_cols: Optional[List[int]] = None
-    best_layout: Optional[List[int]] = None
     # bumped on every new best; a new best found below a node shares its
     # prefix, so a prefix marked "below the best" at an older generation
     # equals the best again
     gen = 0
-    layout: List[int] = []
     pos_of = {}
     cols: List[int] = []
 
     def place(i: int, below: int):
         # below: the generation at which this prefix fell below the best,
         # or -1 while it equals the best (or no best exists yet)
-        nonlocal best_cols, best_layout, gen
+        nonlocal best_cols, gen
         if i == p:
             if best_cols is None or cols < best_cols:
                 best_cols = list(cols)
-                best_layout = list(layout)
                 gen += 1
             return
         cell = remaining[slot_cell[i]]
@@ -391,19 +388,20 @@ def canonical_form(g: Graph) -> Tuple[int, Tuple[Edge, ...]]:
                     continue
                 mark = gen if col < best_cols[i] else -1
             cell.remove(v)
-            layout.append(v)
             pos_of[v] = i
             cols.append(col)
             place(i + 1, mark)
             cols.pop()
             del pos_of[v]
-            layout.pop()
             cell.append(v)
 
     place(0, -1)
-    assert best_layout is not None
-    newid = {v: i + 1 for i, v in enumerate(best_layout)}
-    return (p, tuple(sorted(_norm_edge(newid[u], newid[v]) for u, v in g._edges)))
+    assert best_cols is not None
+    # bit j of column i says whether positions j < i are adjacent
+    edges = tuple(
+        (j + 1, i + 1) for j in range(p) for i in range(j + 1, p) if best_cols[i] >> j & 1
+    )
+    return (p, edges)
 
 
 def canonical_relabel(g: Graph) -> Graph:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from itertools import product
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .graph import (
     Graph,
@@ -28,7 +28,7 @@ from .graph import (
 from .families import prufer_to_tree
 from .coloring import TotalColoring, is_proper_total
 from .leafops import LeafEdge, Surgery, leaf_split
-from .system import ColoredIceFlowerSystem, IceFlowerSystem, _lay_out_stars, make_star
+from .system import ColoredIceFlowerSystem, IceFlowerSystem, Star, _lay_out_stars, make_star
 
 Step = Tuple[int, int, int, int]  # (instance, leaf slot, instance, leaf slot)
 
@@ -108,13 +108,21 @@ def recompose_colored(
     return g, theta
 
 
-def _script_over_base(
-    g: Graph, sizes: Sequence[int]
+def _express(
+    g: Graph,
+    stars: Sequence[Star],
+    keys: Sequence[Tuple[Hashable, Sequence[int]]],
+    star_at: Callable[[int], Tuple[Hashable, Sequence[int]]],
 ) -> Optional[CoincideScript]:
-    """Express g over stars of the given sizes, or None on a size mismatch.
+    """Express g over the given base stars, or None when some split star
+    matches no base star.
 
-    One star per non-leaf vertex; every internal edge becomes a step.
-    Leaf slots follow ascending neighbor order, so scripts are canonical.
+    Splitting every internal edge leaves one star per internal vertex w.
+    star_at(w) is that star's signature with w's neighbors in matching
+    order; keys[i] is base star i's signature with its leaf slots in the
+    same order.  w goes on the first base star of equal signature, its
+    neighbors onto that star's slots, and every internal edge becomes a
+    step.  Instances are numbered by base position, then by vertex id.
     """
     if g.q == 0:
         raise ValueError("edgeless graph has no star expression")
@@ -124,38 +132,21 @@ def _script_over_base(
     if not non_leaf:
         raise ValueError("no internal vertex (p <= 2); nothing to express")
 
-    assigned: Dict[int, int] = {}  # non-leaf vertex -> base position
+    first: Dict[Hashable, int] = {}
+    for i, (sig, _) in enumerate(keys):
+        first.setdefault(sig, i)
+    assigned: Dict[int, int] = {}  # internal vertex -> base position
+    slot_of: Dict[int, Dict[int, int]] = {}  # internal vertex -> neighbor -> slot
     for w in non_leaf:
-        for bi, m in enumerate(sizes):
-            if m == g.degree(w):
-                assigned[w] = bi
-                break
-        else:
+        sig, nbrs = star_at(w)
+        if sig not in first:
             return None
+        assigned[w] = first[sig]
+        slot_of[w] = dict(zip(nbrs, keys[first[sig]][1]))
 
-    slot_of: Dict[int, Dict[int, int]] = {
-        w: {u: i + 1 for i, u in enumerate(g.neighbors(w))} for w in non_leaf
-    }
-    base = IceFlowerSystem([make_star(m) for m in sizes])
-    script = _script(g, base, assigned, slot_of)
-    assert sum(script.coefficients) == len(non_leaf)
-    assert g.q == sum(a * s.m for a, s in zip(script.coefficients, base.stars)) - len(script.steps)
-    return script
-
-
-def _script(
-    g: Graph,
-    base: IceFlowerSystem,
-    assigned: Dict[int, int],
-    slot_of: Dict[int, Dict[int, int]],
-) -> CoincideScript:
-    """The script that puts each internal vertex w of g on an instance of
-    base star assigned[w] and turns every internal edge uv into a step
-    consuming slot slot_of[u][v] at u and slot_of[v][u] at v.  Instances
-    are numbered by base position, then by vertex id."""
-    coefficients = [0] * base.n
-    for bi in assigned.values():
-        coefficients[bi] += 1
+    coefficients = [0] * len(stars)
+    for i in assigned.values():
+        coefficients[i] += 1
     order = sorted(assigned, key=lambda w: (assigned[w], w))
     instance = {w: t for t, w in enumerate(order, start=1)}
     steps = tuple(
@@ -163,7 +154,15 @@ def _script(
         for u, v in g.edges()
         if u in instance and v in instance
     )
-    return CoincideScript(base, tuple(coefficients), steps)
+    assert g.q == sum(a * s.m for a, s in zip(coefficients, stars)) - len(steps)
+    return CoincideScript(IceFlowerSystem(list(stars)), tuple(coefficients), steps)
+
+
+def _express_by_degree(g: Graph, stars: Sequence[Star]) -> Optional[CoincideScript]:
+    """Match internal vertices to stars by degree alone; leaf slots follow
+    ascending neighbor order, so scripts are canonical."""
+    keys = [(s.m, range(1, s.m + 1)) for s in stars]
+    return _express(g, stars, keys, lambda w: (g.degree(w), g.neighbors(w)))
 
 
 def decompose_to_stars(g: Graph) -> CoincideScript:
@@ -171,7 +170,7 @@ def decompose_to_stars(g: Graph) -> CoincideScript:
     vertex w, merged along the internal edges.  Base stars are the
     distinct internal degrees, ascending."""
     sizes = sorted({g.degree(w) for w in g.vertices() if g.degree(w) >= 2})
-    script = _script_over_base(g, sizes)
+    script = _express_by_degree(g, [make_star(m) for m in sizes])
     assert script is not None  # sizes were read off g itself
     return script
 
@@ -181,7 +180,7 @@ def uncolored_lattice_member(
 ) -> Optional[CoincideScript]:
     """A script over the given base, or None when some internal degree of
     g has no star of matching size."""
-    return _script_over_base(g, [s.m for s in base.stars])
+    return _express_by_degree(g, base.stars)
 
 
 def euler_expression(g: Graph) -> Optional[CoincideScript]:
@@ -407,10 +406,6 @@ def spanning_lattice_enumerate(m: int) -> List[Tuple[Graph, Dict[int, int]]]:
     ]
 
 
-def _star_signature(center_color: int, pairs) -> Tuple:
-    return (len(pairs), center_color, tuple(sorted(pairs)))
-
-
 def colored_lattice_member(
     g: Graph, f: TotalColoring, base: ColoredIceFlowerSystem
 ) -> Optional[CoincideScript]:
@@ -418,42 +413,20 @@ def colored_lattice_member(
 
     Splitting every internal edge of g turns it into one colored star
     per internal vertex w: center colored f(w), each leaf copying the
-    far endpoint's color, each leaf-edge keeping its edge color.  The
-    member test matches every such star against a base star with the
-    same size, center color, and (edge color, leaf color) multiset; the
-    step list then records which base leaf slot each edge consumes.
+    far endpoint's color, each leaf-edge keeping its edge color.  Each
+    such star must match a base star with the same center color and
+    (edge color, leaf color) multiset; leaves and base slots are paired
+    off in the order of those pairs, ties broken by id.  Inputs that
+    have no uncolored star expression are refused in the same way.
     """
     if not is_proper_total(g, f):
         raise ValueError("membership is defined for proper total colorings")
-    non_leaf = [w for w in g.vertices() if g.degree(w) >= 2]
-    if not non_leaf or not is_connected(g):
-        return None
 
-    base_sigs: List[Tuple] = []
-    base_slot_order: List[List[int]] = []
-    for star, bf in zip(base.stars, base.colorings):
-        pairs = [(bf.edge(1, l), bf.vertex(l)) for l in star.leaves]
-        base_sigs.append(_star_signature(bf.vertex(1), pairs))
-        # slots sorted by their (edge color, leaf color) pair
-        order = sorted(range(1, star.m + 1), key=lambda l: pairs[l - 1])
-        base_slot_order.append(order)
+    def split(h: Graph, c: TotalColoring, w: int) -> Tuple[Hashable, List[int]]:
+        order = sorted(h.neighbors(w), key=lambda u: (c.edge(w, u), c.vertex(u)))
+        return (c.vertex(w), tuple((c.edge(w, u), c.vertex(u)) for u in order)), order
 
-    assigned: Dict[int, int] = {}
-    slot_map: Dict[int, Dict[int, int]] = {}  # w -> neighbor -> base slot
-    for w in non_leaf:
-        pairs = [(f.edge(w, u), f.vertex(u)) for u in g.neighbors(w)]
-        sig = _star_signature(f.vertex(w), pairs)
-        for bi, bsig in enumerate(base_sigs):
-            if sig == bsig:
-                assigned[w] = bi
-                nbr_order = sorted(
-                    g.neighbors(w), key=lambda u: (f.edge(w, u), f.vertex(u))
-                )
-                slot_map[w] = {
-                    u: base_slot_order[bi][i] for i, u in enumerate(nbr_order)
-                }
-                break
-        else:
-            return None
-
-    return _script(g, base.backbone(), assigned, slot_map)
+    # base star leaf l + 1 (canonical layout, center 1) is slot l
+    split_base = [split(s.graph, bf, 1) for s, bf in zip(base.stars, base.colorings)]
+    keys = [(sig, [u - 1 for u in leaves]) for sig, leaves in split_base]
+    return _express(g, base.stars, keys, lambda w: split(g, f, w))

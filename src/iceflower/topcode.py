@@ -342,39 +342,19 @@ def topological_vector(t: Graph) -> Tuple[int, ...]:
     direction is lexicographically smaller."""
     if not is_tree(t):
         raise ValueError("topological vectors are defined for trees")
-    leaves = {v for v in t.vertices() if t.degree(v) == 1}
-    spine = [v for v in t.vertices() if v not in leaves]
+    spine = {v: [] for v in t.vertices() if t.degree(v) != 1}
     if not spine:
-        if t.p == 1:
-            return (0,)
         raise ValueError("not a caterpillar: no spine after leaf removal")
-    spine_set = set(spine)
-    spine_deg = {v: sum(1 for u in t.neighbors(v) if u in spine_set) for v in spine}
-    if any(dv > 2 for dv in spine_deg.values()):
-        raise ValueError("not a caterpillar: spine is not a path")
-    # the spine inherits connectivity from t minus leaves; with max
-    # degree 2 and no cycle (t is a tree) it is a path
-    if len(spine) == 1:
-        order = spine
-    else:
-        ends = [v for v in spine if spine_deg[v] == 1]
-        if len(ends) != 2:
+    for v, nbrs in spine.items():
+        nbrs.extend(u for u in t.neighbors(v) if u in spine)
+        if len(nbrs) > 2:
             raise ValueError("not a caterpillar: spine is not a path")
-        order = [ends[0]]
-        prev = None
-        while len(order) < len(spine):
-            nxt = [
-                u
-                for u in t.neighbors(order[-1])
-                if u in spine_set and u != prev
-            ]
-            if len(nxt) != 1:
-                raise ValueError("not a caterpillar: spine is not a path")
-            prev = order[-1]
-            order.append(nxt[0])
-    counts = tuple(
-        sum(1 for u in t.neighbors(v) if u in leaves) for v in order
-    )
+    # t minus its leaves is a tree of max degree 2, so a path: walk it
+    # from its smallest end
+    order = [min(v for v, nbrs in spine.items() if len(nbrs) < 2)]
+    while len(order) < len(spine):
+        order.append(next(u for u in spine[order[-1]] if u not in order[-2:]))
+    counts = tuple(t.degree(v) - len(spine[v]) for v in order)
     return min(counts, counts[::-1])
 
 

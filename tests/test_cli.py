@@ -20,7 +20,7 @@ from iceflower.formats import (
     write_system,
 )
 from iceflower.graph import Graph, are_isomorphic, degree_sequence
-from iceflower.lattice import decompose_to_stars, recompose
+from iceflower.lattice import CoincideScript, decompose_to_stars, recompose, recompose_colored
 from iceflower.system import ColoredIceFlowerSystem, build_uniform_fdt_system
 
 
@@ -331,6 +331,9 @@ def test_unexpected_exception_exits_3_never_as_a_no(tmp_path, monkeypatch):
 
 
 _ROW7 = ",".join(["1"] * 7)
+# two stars of the 4-star system laid side by side, with no merge step
+_S4 = build_uniform_fdt_system(4, 0)
+_TWO_STAR_REPLAY = recompose_colored(CoincideScript(_S4.backbone(), (1, 1, 0, 0), ()), _S4)
 
 
 @pytest.mark.parametrize(
@@ -362,6 +365,14 @@ _ROW7 = ",".join(["1"] * 7)
                 "b": write_system(build_uniform_fdt_system(3, 0)),
             },
             id="colored-member-improper",
+        ),
+        pytest.param(
+            ["lattice", "check", "colored", "{a}", "--base", "{b}"],
+            {
+                "a": write_colored(*_TWO_STAR_REPLAY),
+                "b": write_system(_S4),
+            },
+            id="colored-member-disconnected",
         ),
         pytest.param(
             ["lattice", "check", "uncolored", "{a}", "--base", "2"],

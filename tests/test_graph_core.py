@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
 
+import iceflower
 from iceflower import families
 from iceflower.graph import (
     Graph,
@@ -200,6 +204,19 @@ def test_planarity_against_subdivision_search():
         p = rng.randrange(5, 8)
         g = random_connected_graph(rng, p, rng.randrange(0, 2 * p))
         assert is_planar(g) == kuratowski_planar(g)
+
+
+def test_import_iceflower_leaves_networkx_unloaded():
+    # networkx backs is_planar alone and is most of the import time
+    src = os.path.dirname(os.path.dirname(iceflower.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, iceflower; print('networkx' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_canonical_form_is_isomorphism_invariant():

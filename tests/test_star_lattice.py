@@ -43,7 +43,7 @@ from iceflower.lattice import (
     spanning_lattice_enumerate,
     uncolored_lattice_member,
 )
-from iceflower.system import IceFlowerSystem, build_uniform_fdt_system, make_star
+from iceflower.system import ColoredIceFlowerSystem, IceFlowerSystem, build_uniform_fdt_system, make_star
 from tests.test_formats import _graphs
 from tests.conftest import random_connected_graph
 
@@ -583,3 +583,137 @@ def test_hamiltonian_member_matches_the_three_check_definition():
                 assert hamiltonian_lattice_member(h) == _hamiltonian_member_reference(h)
                 checked += 1
     assert checked == 2504
+
+
+# -- one star-expression matcher against the two matchers it replaced --------
+
+
+def _reference_script_over_base(g, sizes):
+    """The former uncolored matcher: first star of equal size, leaf slots
+    in ascending neighbor order, instances by base position then id."""
+    if g.q == 0:
+        raise ValueError("edgeless graph has no star expression")
+    if not is_connected(g):
+        raise ValueError("star expressions need a connected graph")
+    non_leaf = [w for w in g.vertices() if g.degree(w) >= 2]
+    if not non_leaf:
+        raise ValueError("no internal vertex (p <= 2); nothing to express")
+    assigned = {}
+    for w in non_leaf:
+        for bi, m in enumerate(sizes):
+            if m == g.degree(w):
+                assigned[w] = bi
+                break
+        else:
+            return None
+    slot_of = {w: {u: i + 1 for i, u in enumerate(g.neighbors(w))} for w in non_leaf}
+    return _reference_script(g, IceFlowerSystem([make_star(m) for m in sizes]), assigned, slot_of)
+
+
+def _reference_script(g, base, assigned, slot_of):
+    coefficients = [0] * base.n
+    for bi in assigned.values():
+        coefficients[bi] += 1
+    order = sorted(assigned, key=lambda w: (assigned[w], w))
+    instance = {w: t for t, w in enumerate(order, start=1)}
+    steps = tuple(
+        (instance[u], slot_of[u][v], instance[v], slot_of[v][u])
+        for u, v in g.edges()
+        if u in instance and v in instance
+    )
+    return CoincideScript(base, tuple(coefficients), steps)
+
+
+def _reference_colored_member(g, f, base):
+    """The former colored matcher, which answered None on any input
+    without an internal vertex or that was disconnected."""
+    if not is_proper_total(g, f):
+        raise ValueError("membership is defined for proper total colorings")
+    non_leaf = [w for w in g.vertices() if g.degree(w) >= 2]
+    if not non_leaf or not is_connected(g):
+        return None
+
+    def signature(center_color, pairs):
+        return (len(pairs), center_color, tuple(sorted(pairs)))
+
+    base_sigs, base_slot_order = [], []
+    for star, bf in zip(base.stars, base.colorings):
+        pairs = [(bf.edge(1, l), bf.vertex(l)) for l in star.leaves]
+        base_sigs.append(signature(bf.vertex(1), pairs))
+        base_slot_order.append(sorted(range(1, star.m + 1), key=lambda l: pairs[l - 1]))
+    assigned, slot_map = {}, {}
+    for w in non_leaf:
+        sig = signature(f.vertex(w), [(f.edge(w, u), f.vertex(u)) for u in g.neighbors(w)])
+        for bi, bsig in enumerate(base_sigs):
+            if sig == bsig:
+                assigned[w] = bi
+                nbr_order = sorted(g.neighbors(w), key=lambda u: (f.edge(w, u), f.vertex(u)))
+                slot_map[w] = {u: base_slot_order[bi][i] for i, u in enumerate(nbr_order)}
+                break
+        else:
+            return None
+    return _reference_script(g, base.backbone(), assigned, slot_map)
+
+
+def test_uncolored_matcher_equals_the_former_one_on_every_class_p_le_7():
+    bases = ([2], [3], [2, 3], [3, 2], [2, 3, 4], [4, 3, 2, 3])
+    compared = answered = 0
+    for p in range(1, 8):
+        for g in connected_classes(p):
+            sizes = sorted({g.degree(w) for w in g.vertices() if g.degree(w) >= 2})
+            assert _outcome(decompose_to_stars, g) == _outcome(_reference_script_over_base, g, sizes)
+            for b in bases:
+                got = _outcome(uncolored_lattice_member, g, IceFlowerSystem([make_star(m) for m in b]))
+                assert got == _outcome(_reference_script_over_base, g, b)
+                answered += got is not None and not isinstance(got, str)
+            compared += 1 + len(bases)
+    assert compared == 6972 and answered > 500
+
+
+def _shuffled_leaves(rng, system):
+    """The system with each star's leaf colors dealt to its leaves in a
+    random order, so slot order and leaf id order differ."""
+    colorings = []
+    for star, f in zip(system.stars, system.colorings):
+        moved = list(star.leaves)
+        rng.shuffle(moved)
+        to = dict(zip(star.leaves, moved))
+        colorings.append(
+            TotalColoring(
+                f.palette,
+                {1: f.vertex(1), **{to[l]: f.vertex(l) for l in star.leaves}},
+                {(1, to[l]): f.edge(1, l) for l in star.leaves},
+            )
+        )
+    return ColoredIceFlowerSystem(list(system.stars), colorings)
+
+
+def test_colored_matcher_equals_the_former_one_on_seeded_scripts():
+    rng = random.Random(47)
+    connected = refused = 0
+    for _ in range(3000):
+        S = _shuffled_leaves(rng, build_uniform_fdt_system(rng.randrange(3, 7), 0))
+        sc = _random_script(rng, S.backbone(), S.colorings)
+        try:
+            g, f = recompose_colored(sc, S)
+        except ValueError:
+            continue
+        got = _outcome(colored_lattice_member, g, f, S)
+        if is_connected(g):
+            assert got == _reference_colored_member(g, f, S)
+            assert got is not None  # every split star is one of S's stars
+            connected += 1
+        else:
+            # refused as the uncolored matcher refuses it, never a "no"
+            assert got == _outcome(_reference_script_over_base, g, S.sizes())
+            assert got.startswith("ValueError: ")
+            refused += 1
+    assert connected >= 350 and refused >= 1000
+
+
+def test_colored_member_of_a_disconnected_replay_is_refused_not_a_no():
+    S = build_uniform_fdt_system(4, 0)
+    g, f = recompose_colored(CoincideScript(S.backbone(), (1, 1, 0, 0), ()), S)
+    assert (g.p, g.q) == (8, 6)
+    with pytest.raises(ValueError, match="^star expressions need a connected graph$"):
+        colored_lattice_member(g, f, S)

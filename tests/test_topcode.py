@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iceflower.graph import Graph, are_isomorphic, is_tree
-from iceflower.families import complete_graph, path_graph, star_graph
+from iceflower.families import (
+    complete_graph,
+    connected_classes,
+    count_free_trees,
+    path_graph,
+    star_graph,
+    tree_encoding,
+)
 from iceflower.coloring import TotalColoring
 from iceflower.topcode import (
     TopcodeMatrix,
@@ -20,6 +27,7 @@ from iceflower.topcode import (
 )
 from tests.conftest import random_distinct_label_tree
 from tests.test_acceptance import DIGIT_STRING_60
+from tests.test_star_lattice import _outcome
 
 
 def test_matrix_validation():
@@ -283,6 +291,70 @@ def test_topological_vector_rejections():
     spider = Graph(7, [(1, 2), (1, 3), (1, 4), (2, 5), (3, 6), (4, 7)])
     with pytest.raises(ValueError):
         topological_vector(spider)
+
+
+def _reference_topological_vector(t):
+    """The former spine walk, with its checks that the tree test makes
+    unreachable kept in."""
+    if not is_tree(t):
+        raise ValueError("topological vectors are defined for trees")
+    leaves = {v for v in t.vertices() if t.degree(v) == 1}
+    spine = [v for v in t.vertices() if v not in leaves]
+    if not spine:
+        if t.p == 1:
+            return (0,)
+        raise ValueError("not a caterpillar: no spine after leaf removal")
+    spine_set = set(spine)
+    spine_deg = {v: sum(1 for u in t.neighbors(v) if u in spine_set) for v in spine}
+    if any(dv > 2 for dv in spine_deg.values()):
+        raise ValueError("not a caterpillar: spine is not a path")
+    if len(spine) == 1:
+        order = spine
+    else:
+        ends = [v for v in spine if spine_deg[v] == 1]
+        if len(ends) != 2:
+            raise ValueError("not a caterpillar: spine is not a path")
+        order = [ends[0]]
+        prev = None
+        while len(order) < len(spine):
+            nxt = [u for u in t.neighbors(order[-1]) if u in spine_set and u != prev]
+            if len(nxt) != 1:
+                raise ValueError("not a caterpillar: spine is not a path")
+            prev = order[-1]
+            order.append(nxt[0])
+    counts = tuple(sum(1 for u in t.neighbors(v) if u in leaves) for v in order)
+    return min(counts, counts[::-1])
+
+
+def test_topological_vector_equals_the_former_spine_walk():
+    # every free tree with p <= 10, grown by one leaf at a time (the
+    # Prufer sweep of free_trees takes a minute at p = 10)
+    trees = [Graph(1)]
+    level = list(trees)
+    for p in range(2, 11):
+        grown = {}
+        for t in level:
+            for v in t.vertices():
+                g = Graph(p, t.edges() + [(v, p)])
+                grown.setdefault(tree_encoding(g), g)
+        assert len(grown) == count_free_trees(p)
+        level = [grown[k] for k in sorted(grown)]
+        trees.extend(level)
+    rng = random.Random(29)
+    inputs = []
+    for t in trees:
+        inputs.append(t)
+        for _ in range(3):
+            perm = list(t.vertices())
+            rng.shuffle(perm)
+            inputs.append(t.relabel({v: perm[v - 1] for v in t.vertices()}))
+    inputs.extend(g for p in range(1, 7) for g in connected_classes(p))
+    outcomes = set()
+    for g in inputs:
+        got = _outcome(topological_vector, g)
+        assert got == _outcome(_reference_topological_vector, g)
+        outcomes.add(got if isinstance(got, str) else "vector")
+    assert len(inputs) == 947 and len(outcomes) == 4  # a vector and all three refusals
 
 
 def test_vector_mirror_invariance(rng):
