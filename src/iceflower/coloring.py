@@ -157,6 +157,25 @@ def _candidate_colors(
     return cand
 
 
+def _reach(M: int, k: int) -> List[int]:
+    """reach[c]: bitmask of the edge colors a vertex of color c can carry
+    at common weight k, for c in 1..M (reach[0] is 0).
+
+    e is in reach[c] when e = c' + c + k, or e = c' + c - k with k != 0
+    and c != k, for some c' in 1..M other than c, and e is in 1..M and
+    differs from c.  The minus color equals c' itself when c == k.
+    """
+    full = (1 << (M + 1)) - 2
+    reach = [0] * (M + 1)
+    for c in range(1, M + 1):
+        others = full & ~(1 << c)
+        r = others << (c + k)
+        if k and c != k:
+            r |= others << (c - k) if c > k else others >> (k - c)
+        reach[c] = r & others
+    return reach
+
+
 def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
     """Search for a proper total coloring with every edge weight equal.
 
@@ -165,13 +184,21 @@ def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
     which have at most two candidates per edge once both ends are known.
     Each vertex starts from a bitmask of candidate colors: c stays only
     if it differs from every earlier neighbor j and the edge color
-    c + f(j) - k or c + f(j) + k is still free at j.  The mask drops
-    exactly the colors whose edges would fail on their own, so the
-    search visits the same nodes in the same order as trying every color,
-    and the edge step only has to keep the new edges distinct.
-    Pendant twins are forced into increasing edge colors to kill the
-    factorial blowup at high-degree centers.  Returns the first witness
-    in this deterministic order, or None after an exhaustive search.
+    c + f(j) - k or c + f(j) + k is still free at j, so the edge step
+    only has to keep the new edges distinct.  Two capacity checks read
+    the table _reach(M, k) of edge colors each vertex color can carry:
+    a vertex of degree d keeps only the colors that reach at least d
+    edge colors, and once a vertex and its edges are placed, each earlier
+    neighbor must still reach, among its unused edge colors, as many as
+    it has neighbors left to place.  Pendant twins are forced into
+    increasing edge colors to kill the factorial blowup at high-degree
+    centers.
+
+    The mask and both checks drop only subtrees that hold no completion,
+    so the nodes that remain are visited in the same order as when every
+    color is tried: the first witness is the same, and None is the
+    outcome of an exhaustive search.  They add no recursion, so the
+    search depth, and with it MAX_SEARCH_ELEMENTS, is unchanged.
 
     Raises ValueError when p + q exceeds MAX_SEARCH_ELEMENTS, the size
     whose search depth still fits Python's default recursion limit.
@@ -213,6 +240,16 @@ def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
             if sup in last_at:
                 prev_sibling[i] = last_at[sup]
             last_at[sup] = i
+    deg = [g.degree(v) for v in order]
+    # after position i: each earlier neighbor j of i that still has
+    # neighbors beyond i, with how many
+    need: List[List[Tuple[int, int]]] = []
+    for i, back in enumerate(earlier):
+        need.append([])
+        for j in back:
+            n = sum(1 for w in g._adj[order[j]] if pos[w] > i)
+            if n:
+                need[i].append((j, n))
 
     vcol = [0] * p
     emask = [0] * p  # bitmask of edge colors used at each position
@@ -222,6 +259,16 @@ def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
     free = [[0] * len(back) for back in earlier]
     pend_ecol = [0] * p  # pendant positions: color of their single edge
     full = (1 << (M + 1)) - 2  # bits 1..M
+    reach: List[int] = []  # _reach(M, k) for the k being searched
+    fit: List[int] = []  # fit[d]: the colors c with at least d colors in reach[c]
+
+    def capacity_left(i: int) -> bool:
+        """Every earlier neighbor of the placed position i can still give
+        its remaining edges distinct colors from its reach."""
+        for j, n in need[i]:
+            if (reach[vcol[j]] & ~emask[j]).bit_count() < n:
+                return False
+        return True
 
     def place(i: int, k: int) -> bool:
         if i == p:
@@ -243,13 +290,13 @@ def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
                     emask[i] = bit
                     pend_ecol[i] = e
                     echoice[i][0] = e
-                    if place(i + 1, k):
+                    if capacity_left(i) and place(i + 1, k):
                         return True
                     emask[i] = 0
                     emask[j] &= ~bit
                     vcol[i] = 0
             return False
-        cand = _candidate_colors(full, k, back, vcol, emask, free[i])
+        cand = _candidate_colors(full, k, back, vcol, emask, free[i]) & fit[deg[i]]
         while cand:
             low = cand & -cand
             cand ^= low
@@ -276,7 +323,7 @@ def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
             echoice[i][idx] = e
             if last:
                 emask[i] = local | bit
-                if place(i + 1, k):
+                if capacity_left(i) and place(i + 1, k):
                     return True
                 emask[i] = 0
             elif color_edges(i, c, idx + 1, local | bit, k):
@@ -284,7 +331,13 @@ def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
             emask[j] ^= bit
         return False
 
+    top = g.max_degree()
     for k in range(0, 2 * M - 1):
+        reach = _reach(M, k)
+        fit = [0] * (top + 1)
+        for c in range(1, M + 1):
+            for d in range(min(reach[c].bit_count(), top) + 1):
+                fit[d] |= 1 << c
         for arr in (vcol, emask, pend_ecol):
             for i in range(p):
                 arr[i] = 0

@@ -11,9 +11,9 @@ expressions, and color-preserving membership against a colored system.
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import islice, product
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from .graph import (
     Graph,
@@ -247,36 +247,37 @@ class ClosureResult:
 
 def _chord_graphs(
     n: int, residual: List[int]
-) -> List[List[Tuple[int, int]]]:
-    """All simple chord sets on spine positions 0..n-1 realizing the given
-    degrees while avoiding the n cycle edges.
+) -> Iterator[List[Tuple[int, int]]]:
+    """Yield every simple chord set on spine positions 0..n-1 realizing the
+    given degrees while avoiding the n cycle edges.
 
     The lowest position that still needs chords takes its next one, to a
     partner beyond its previous one.  That builds each set in one order
-    only (its sorted order), one recursion level per chord.
+    only (its sorted order).  The chosen chords are the search stack, so
+    a set of any size needs no recursion.
     """
     res = list(residual)
-    out: List[List[Tuple[int, int]]] = []
     chosen: List[Tuple[int, int]] = []
-
-    def rec(i: int, last: int) -> None:
+    i, j = 0, 0  # the position taking a chord, and its last partner tried
+    while True:
         while i < n and res[i] == 0:
-            i, last = i + 1, i + 1
+            i, j = i + 1, i + 1
         if i == n:
-            out.append(list(chosen))
-            return
-        res[i] -= 1
-        for j in range(last + 1, n):
-            if res[j] and 1 < j - i < n - 1:
+            yield list(chosen)
+        else:
+            j += 1
+            while j < n and not (res[j] and 1 < j - i < n - 1):
+                j += 1
+            if j < n:
+                res[i] -= 1
                 res[j] -= 1
                 chosen.append((i, j))
-                rec(i, j)
-                chosen.pop()
-                res[j] += 1
+                continue
+        if not chosen:
+            return
+        i, j = chosen.pop()
         res[i] += 1
-
-    rec(0, 0)
-    return out
+        res[j] += 1
 
 
 def close_to_hamiltonian(
@@ -294,7 +295,10 @@ def close_to_hamiltonian(
     deduplicated up to isomorphism (canonical labels, sorted).
 
     Beyond `exhaustive_limit` pendants the sweep switches to seeded
-    random pairings and the result is flagged partial.
+    random pairings and the result is flagged partial.  When no sample
+    avoids multi-edges, the first chord set of the exhaustive order
+    stands in for them, so the ValueError for "no pairing" is always
+    the outcome of an exhaustive search.
     """
     n = len(hc.spine)
     residual = [len(hc.pendants[v]) for v in hc.spine]
@@ -306,7 +310,7 @@ def close_to_hamiltonian(
 
     partial = total > exhaustive_limit
     if not partial:
-        chord_sets = _chord_graphs(n, residual)
+        chord_sets = list(_chord_graphs(n, residual))
     else:
         rng = random.Random(seed)
         slots = [i for i in range(n) for _ in range(residual[i])]
@@ -319,6 +323,8 @@ def close_to_hamiltonian(
             if all(1 < b - a < n - 1 for a, b in pairing) and len(set(pairing)) == len(pairing):
                 seen_sets.add(tuple(sorted(pairing)))
         chord_sets = [list(s) for s in sorted(seen_sets)]
+        if not chord_sets:
+            chord_sets = list(islice(_chord_graphs(n, residual), 1))
 
     if not chord_sets:
         raise ValueError("no pairing avoids multi-edges")

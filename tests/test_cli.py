@@ -169,6 +169,14 @@ def test_hamiltonian_build_on_a_60_vertex_spine():
     assert r.payload.split("\n", 1)[0] == "closures 1 partial 0"
 
 
+def test_hamiltonian_build_with_no_sampled_pairing_still_finds_a_closure():
+    r = run(["hamiltonian", "build", ",".join(["17", "2"] + ["3"] * 15 + ["2"])])
+    assert r.exit_code == 0, r.note
+    head, rest = r.payload.split("\n", 1)
+    assert head == "closures 1 partial 1"
+    assert degree_sequence(read_graph(rest.strip() + "\n")) == (17,) + (3,) * 15 + (2, 2)
+
+
 def test_lattice_hamiltonian_on_a_1200_cycle_is_a_yes_not_a_crash(tmp_path):
     c = _file(tmp_path, "c1200.graph", write_graph(cycle_graph(1200)))
     r = run(["lattice", "check", "hamiltonian", c])

@@ -17,6 +17,7 @@ from iceflower.coloring import (
     MAX_SEARCH_ELEMENTS,
     TotalColoring,
     _candidate_colors,
+    _reach,
     _search_order,
     bfdt,
     chi_fdt,
@@ -291,6 +292,10 @@ def reference_find_fdt_coloring(g, palette):
 
 
 def _differential_graphs():
+    """(graph, palettes) pairs: small graphs at every palette up to
+    2 Delta + 2, and graphs shaped like the palette benchmark (p = 10-11,
+    p/2 to p chords on a random tree) at Delta + 1..Delta + 3, where most
+    palettes have no coloring and the capacity bound cuts hardest."""
     gs = [t for p in range(1, 9) for t in free_trees(p)]
     gs += [complete_graph(n) for n in range(1, 6)]
     gs += [cycle_graph(n) for n in range(3, 9)]
@@ -300,12 +305,18 @@ def _differential_graphs():
     for _ in range(300):
         p = rng.randrange(2, 10)
         gs.append(random_connected_graph(rng, p, rng.randrange(0, p + 1)))
-    return gs
+    cases = [(g, range(1, 2 * g.max_degree() + 3)) for g in gs]
+    rng = random.Random(13)
+    for _ in range(40):
+        p = rng.choice((10, 11))
+        g = random_connected_graph(rng, p, rng.randint(p // 2, p))
+        cases.append((g, range(g.max_degree() + 1, g.max_degree() + 4)))
+    return cases
 
 
 def test_masked_search_returns_the_reference_witness_at_every_palette():
-    for g in _differential_graphs():
-        for M in range(1, 2 * g.max_degree() + 3):
+    for g, palettes in _differential_graphs():
+        for M in palettes:
             want = reference_find_fdt_coloring(g, M)
             got = find_fdt_coloring(g, M)
             if want is None:
@@ -346,6 +357,22 @@ def test_candidate_mask_is_exactly_the_colors_passing_the_edge_checks():
         assert {c for c in range(M + 2) if cand >> c & 1} == want, (M, k, vcol, emask)
         for j in range(n):
             assert free[j] == sum(1 << e for e in range(1, M + 1) if e != vcol[j] and not emask[j] >> e & 1)
+
+
+def test_reach_is_every_edge_color_a_vertex_color_can_carry():
+    for M in range(1, 13):
+        for k in range(0, 2 * M - 1):
+            reach = _reach(M, k)
+            assert len(reach) == M + 1 and reach[0] == 0
+            for c in range(1, M + 1):
+                want = {
+                    e
+                    for c2 in range(1, M + 1)
+                    if c2 != c
+                    for e in ((c2 + c + k, c2 + c - k) if k and c != k else (c2 + c + k,))
+                    if 1 <= e <= M and e != c
+                }
+                assert {e for e in range(M + 2) if reach[c] >> e & 1} == want, (M, k, c)
 
 
 def test_search_size_limit_is_a_value_error_not_a_recursion_error():

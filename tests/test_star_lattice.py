@@ -429,7 +429,7 @@ def _one_step_haired_cycle(degrees):
 
 def _one_step_closures(hc):
     residual = [len(hc.pendants[v]) for v in hc.spine]
-    chord_sets = _chord_graphs(len(hc.spine), residual)
+    chord_sets = list(_chord_graphs(len(hc.spine), residual))
     if not chord_sets:
         raise ValueError("no pairing avoids multi-edges")
     keys = set()
@@ -544,13 +544,53 @@ def test_chord_graphs_recurse_once_per_chord_on_a_long_spine():
     # once per candidate pair and overflowed the stack here
     res = [0] * 60
     res[57] = res[59] = 1
-    assert _chord_graphs(60, res) == [[(57, 59)]]
+    assert list(_chord_graphs(60, res)) == [[(57, 59)]]
+
+
+def test_chord_graphs_build_a_set_of_1500_chords_without_recursion():
+    first = next(_chord_graphs(3000, [1] * 3000))
+    assert len(first) == 1500 and first[:2] == [(0, 2), (1, 3)]
+    assert sorted(v for chord in first for v in chord) == list(range(3000))
 
 
 def test_sampled_closures_drop_pairings_that_repeat_a_chord():
     # the only chord-degree-respecting pairing joins spine 0 and 2 twice
     with pytest.raises(ValueError, match="no pairing avoids multi-edges"):
         close_to_hamiltonian(build_haired_cycle([4, 2, 4, 2]), exhaustive_limit=0)
+
+
+def test_sampled_sweep_that_draws_no_valid_pairing_falls_back_to_the_first_chord_set():
+    # 30 pendants: spine 0's fifteen must pair one-to-one with the other
+    # fifteen, which about one random pairing in 5,000 does
+    hc = build_haired_cycle([17, 2] + [3] * 15 + [2])
+    sampled = close_to_hamiltonian(hc)
+    exhaustive = close_to_hamiltonian(hc, exhaustive_limit=100)
+    assert (len(exhaustive.graphs), exhaustive.partial) == (1, False)
+    assert sampled.partial and sampled.graphs == exhaustive.graphs
+
+
+def test_sampled_closures_are_exhaustive_closures_and_raise_only_without_any():
+    rng = random.Random(85)
+    raised = fewer = 0
+    for _ in range(80):
+        n = rng.randint(4, 10)
+        degrees = [2] * n
+        for _ in range(2 * rng.randint(1, min(12, n + 2))):
+            degrees[rng.randrange(n)] += 1
+        hc = build_haired_cycle(degrees)
+        want = _outcome(lambda h: close_to_hamiltonian(h, exhaustive_limit=100).graphs, hc)
+        samples = rng.choice((1, 10, 2000))
+        got = _outcome(
+            lambda h: close_to_hamiltonian(h, exhaustive_limit=0, samples=samples).graphs, hc
+        )
+        if isinstance(want, str):
+            assert got == want, degrees
+            raised += 1
+        else:
+            assert not isinstance(got, str), (degrees, samples)
+            assert got and all(g in want for g in got), (degrees, samples)
+            fewer += len(got) < len(want)
+    assert raised > 10 and fewer > 10
 
 
 def test_decompose_names_the_failed_precondition():
