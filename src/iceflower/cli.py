@@ -13,7 +13,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List
+from typing import List, Sequence
 
 from . import formats
 from .coloring import bfdt, chi_fdt, is_proper_total
@@ -62,7 +62,9 @@ def _ints(text: str, what: str) -> List[int]:
         raise ValueError("%s: expected integers, got %r" % (what, text))
 
 
-def _q_values(text: str) -> List[int]:
+def _q_values(text: str) -> Sequence[int]:
+    """--q as a list, or LO:HI as a range: solve_dnsp looks up in it only
+    the q that can fit the string, so a range is never listed."""
     if ":" in text:
         lo, _, hi = text.partition(":")
         try:
@@ -71,7 +73,7 @@ def _q_values(text: str) -> List[int]:
             raise ValueError("--q: expected N or LO:HI, got %r" % text)
         if a > b:
             raise ValueError("--q: empty range %r" % text)
-        return list(range(a, b + 1))
+        return range(a, b + 1)
     return _ints(text, "--q")
 
 

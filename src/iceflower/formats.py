@@ -13,7 +13,7 @@ from .graph import Graph, _norm_edge
 from .coloring import TotalColoring
 from .system import ColoredIceFlowerSystem, IceFlowerSystem, Star, make_star
 from .lattice import CoincideScript
-from .topcode import TopcodeMatrix
+from .topcode import TopcodeMatrix, _is_number_string
 
 TOPCODE_CONVENTION = "row-major/1-2digit"
 
@@ -226,8 +226,8 @@ def read_number_string(text: str, substitute_o: bool = False) -> str:
     d = "".join(text.split())
     if substitute_o:
         d = d.replace("o", "0").replace("O", "0")
-    if not d or not d.isdigit():
-        raise FormatError("number string must be digits only (use the o->0 flag for the letter o)")
+    if not _is_number_string(d):
+        raise FormatError("number string must be digits 0-9 only (use the o->0 flag for the letter o)")
     return d
 
 

@@ -10,7 +10,7 @@ too, since they ride on the same matrix machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .graph import Graph, _norm_edge, is_connected, is_tree
 from .coloring import TotalColoring
@@ -76,8 +76,15 @@ def string_from_topcode(t: TopcodeMatrix) -> str:
     )
 
 
+def _is_number_string(d: str) -> bool:
+    """A non-empty run of the ASCII digits 0-9.  str.isdigit() alone also
+    takes other scripts' digits, which int() reads as different ASCII
+    digits, and superscripts, which int() refuses."""
+    return d.isascii() and d.isdigit()
+
+
 def _check_number_string(d: str) -> None:
-    if not d or not d.isdigit():
+    if not _is_number_string(d):
         raise ValueError("a number string is a non-empty run of digits 0-9")
 
 
@@ -223,37 +230,48 @@ def realize_topcode(
 _Steps = List[Dict[int, List[Tuple[int, int]]]]
 
 
-def _row_steps(row: str, q: int) -> _Steps:
+def _row_steps(d: str, start: int, q: int, lo: int, hi: int) -> _Steps:
     """steps[i][p]: the (end, value) readings of segment i at position p
-    of a row read as q segments, wider first, that leave row[end:]
-    readable as the segments after it."""
+    of a row of q segments that starts at d[start] and ends anywhere in
+    lo..hi, wider first.
+
+    A reading is kept only when the segments after it, at 1-2 digits
+    each, can still end the row in lo..hi, and a two-digit reading may
+    not start with '0' (see _readings).  The X row, read from 0, ends in
+    the range its Y row leaves it; the Y row ends at len(d) exactly.
+    """
     return [
         {
             p: [
-                (p + w, int(row[p : p + w]))
+                (p + w, int(d[p : p + w]))
                 for w in (2, 1)
-                if left <= len(row) - p - w <= 2 * left and (w == 1 or row[p] != "0")
+                if p + w + left <= hi and p + w + 2 * left >= lo and (w == 1 or d[p] != "0")
             ]
-            for p in range(i, min(2 * i, len(row)) + 1)
+            for p in range(start + i, start + 2 * i + 1)
         }
         for i, left in enumerate(range(q - 1, -1, -1))
     ]
 
 
-def _tree_rows(x_steps: _Steps, y_steps: _Steps) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+def _tree_rows(
+    x_steps: _Steps, y_steps: _Steps, y_start: int
+) -> Dict[int, List[Tuple[Tuple[int, ...], Tuple[int, ...]]]]:
     """Every (X, Y) read along the two rows' steps whose columns
-    (x_i, y_i) are the edges of a tree on q+1 labels.
+    (x_i, y_i) are the edges of a tree on q+1 labels, listed under the
+    position o1 where its X row ends; x_steps may leave o1 open.
 
-    One depth-first search places x_i and y_i together.  The labels seen
-    are an int bitmask and connectivity is a union-find over the values
-    0-99, undone on backtrack (Tarjan 1975); a column whose two ends
-    already share a root is a loop, a repeated pair or a cycle.  A branch
-    also dies once its label count cannot end at exactly q+1.
+    One depth-first search places x_i and y_i together, and an (X, Y)
+    prefix is searched once for all the X-row ends it can still reach.  The
+    labels seen are an int bitmask and connectivity is a union-find over
+    the values 0-99, undone on backtrack (Tarjan 1975).  A branch dies
+    once its label count cannot end at exactly q+1, which cuts most
+    branches and is tested first, and when a column's two ends already
+    share a root: a loop, a repeated pair or a cycle.
     """
     q = len(x_steps)
     parent = list(range(100))
     xs, ys = [0] * q, [0] * q
-    found: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
+    found: Dict[int, List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = {}
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -262,41 +280,48 @@ def _tree_rows(x_steps: _Steps, y_steps: _Steps) -> List[Tuple[Tuple[int, ...], 
 
     def place(i: int, px: int, py: int, seen: int) -> None:
         if i == q:
-            found.append((tuple(xs), tuple(ys)))
+            found.setdefault(px, []).append((tuple(xs), tuple(ys)))
             return
         fewest = q + 1 - 2 * (q - i - 1)  # each column left adds <= 2 labels
         for ex, x in x_steps[i][px]:
             rx = find(x)
             xs[i] = x
             for ey, y in y_steps[i][py]:
-                ry = find(y)
-                if rx == ry:
-                    continue
                 grown = seen | 1 << x | 1 << y
                 if not fewest <= grown.bit_count() <= q + 1:
+                    continue
+                ry = find(y)
+                if rx == ry:
                     continue
                 parent[rx] = ry
                 ys[i] = y
                 place(i + 1, ex, ey, grown)
                 parent[rx] = rx
 
-    place(0, 0, 0, 0)
+    place(0, 0, y_start, 0)
     return found
 
 
 def solve_dnsp(
-    d: str, q_values: Sequence[int]
+    d: str, q_values: Collection[int]
 ) -> List[Tuple[TopcodeMatrix, Graph, TotalColoring]]:
     """All cuttings of d whose distinct-labels realization is a tree.
 
-    For each split of d into X | E | Y, one search places the columns
-    (x_i, y_i) of X and Y together and prunes on loops, repeated pairs,
-    cycles and label counts (see _tree_rows).  The middle row E, which
-    the tree test never constrains, is read out only for splits with a
+    Only the q with 3q <= len(d) <= 6q can fit, and only those are
+    looked up in q_values, so it may be a range of any size.
+
+    There is one search for each position o2 where the Y row starts.  It
+    places the columns (x_i, y_i) of X and Y together, lets the X row end
+    at any o1 in lo..hi, the range o2 leaves for it (o1 in q..2q and
+    o2 - o1 in q..2q), and prunes on loops, repeated pairs, cycles and
+    label counts (see _tree_rows).  The middle row E = d[o1:o2], which
+    the tree test never constrains, is read out once for each o1 with a
     passing (X, Y).  Results come out per q in cutting-stream order:
-    segment widths of X, then E, then Y, width 2 before width 1.  There
-    is no dedup: a cutting is bit-exact, so different cuttings give
-    different matrices.
+    segment widths of X, then E, then Y, width 2 before width 1.  No two
+    cuttings share a width pattern, so that sort key alone fixes the
+    order, whatever order the searches found them in.  There is no
+    dedup: a cutting is bit-exact, so different cuttings give different
+    matrices.
 
     Every value is at most 99, so a matrix has at most 100 distinct
     labels, while a tree with q edges needs q+1 of them: every q >= 100
@@ -304,11 +329,16 @@ def solve_dnsp(
     search's recursion depth by 99.
     """
     _check_number_string(d)
-    qs = sorted(set(q_values))
-    if not qs or any(q < 1 for q in qs):
+    if isinstance(q_values, range):  # may be vast: read its ends, never list it
+        qs: Collection[int] = q_values
+        lowest = min(q_values[0], q_values[-1]) if q_values else 0
+    else:
+        qs = set(q_values)
+        lowest = min(qs, default=0)
+    if lowest < 1:
         raise ValueError("q values must be positive")
     n = len(d)
-    viable = [q for q in qs if 3 * q <= n <= 6 * q]
+    viable = [q for q in range(-(-n // 6), n // 3 + 1) if q in qs]
     if not viable:
         raise ValueError(
             "string of length %d fits no requested q (needs 3q <= %d <= 6q)"
@@ -319,14 +349,12 @@ def solve_dnsp(
         if q >= 100:
             continue
         found: List[TopcodeMatrix] = []
-        x_steps = {o1: _row_steps(d[:o1], q) for o1 in range(q, 2 * q + 1)}
-        y_steps = {o2: _row_steps(d[o2:], q) for o2 in range(n - 2 * q, n - q + 1)}
-        for o1 in range(q, 2 * q + 1):
-            for o2 in range(max(o1 + q, n - 2 * q), min(o1 + 2 * q, n - q) + 1):
-                pairs = _tree_rows(x_steps[o1], y_steps[o2])
-                if pairs:
-                    for es in _readings(d, o1, o2, q):
-                        found.extend(TopcodeMatrix(xs, es, ys) for xs, ys in pairs)
+        for o2 in range(max(2 * q, n - 2 * q), min(4 * q, n - q) + 1):
+            lo, hi = max(q, o2 - 2 * q), min(2 * q, o2 - q)
+            rows = _tree_rows(_row_steps(d, 0, q, lo, hi), _row_steps(d, o2, q, n, n), o2)
+            for o1, pairs in rows.items():
+                for es in _readings(d, o1, o2, q):
+                    found.extend(TopcodeMatrix(xs, es, ys) for xs, ys in pairs)
         # a value below 10 is one digit wide, any other two (no leading
         # zero), so this key is the wider-first order of cuttings(d, q)
         found.sort(key=lambda m: [v < 10 for v in m.X + m.E + m.Y])

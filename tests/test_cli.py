@@ -26,7 +26,7 @@ from iceflower.system import ColoredIceFlowerSystem, build_uniform_fdt_system
 
 def _file(tmp_path, name, text):
     p = tmp_path / name
-    p.write_text(text)
+    p.write_text(text, encoding="utf-8")
     return str(p)
 
 
@@ -295,6 +295,12 @@ def test_topcode_solve(tmp_path):
     assert r6.exit_code == 2  # no viable edge count for a 3-digit string
 
 
+def test_topcode_solve_over_a_vast_q_range_answers_as_its_one_fitting_q(tmp_path):
+    s = _file(tmp_path, "s.txt", "132\n")
+    wide = run(["topcode", "solve", s, "--q", "1:100000000000"])
+    assert wide.exit_code == 0 and wide == run(["topcode", "solve", s, "--q", "1"])
+
+
 def test_export_dot(tmp_path):
     c4 = _file(tmp_path, "c4.graph", write_graph(cycle_graph(4)))
     r = run(["export", "dot", c4])
@@ -392,6 +398,14 @@ _TWO_STAR_REPLAY = recompose_colored(CoincideScript(_S4.backbone(), (1, 1, 0, 0)
             id="solve-negative-limit",
         ),
         pytest.param(
+            ["topcode", "solve", "{a}", "--q", "1"], {"a": "\u0661\u0663\u0662\n"},
+            id="solve-arabic-indic-digits",
+        ),
+        pytest.param(
+            ["topcode", "solve", "{a}", "--q", "1"], {"a": "1\u00b22\n"},
+            id="solve-superscript-digit",
+        ),
+        pytest.param(
             ["coloring", "chi-fdt", "{a}", "--max-colors", "-1"], {"a": write_graph(path_graph(3))},
             id="chi-fdt-negative-max-colors",
         ),
@@ -409,7 +423,9 @@ def test_rejected_input_exits_2_with_one_line_note(tmp_path, args, files):
     paths = {name: _file(tmp_path, name, text) for name, text in files.items()}
     r = run([a.format(**paths) for a in args])
     assert (r.exit_code, r.payload) == (2, "")
-    assert r.note.startswith("error: ") and "\n" not in r.note
+    # run() words a bad value "error: " and a malformed document "format
+    # error: "; an "internal error: " (exit 3) never passes
+    assert r.note.startswith(("error: ", "format error: ")) and "\n" not in r.note
 
 
 def _fresh_process(argv):

@@ -150,6 +150,9 @@ def test_number_string_reading():
     assert "flag" in str(info.value)
     with pytest.raises(FormatError):
         read_number_string("13x2", substitute_o=True)
+    for other_digits in ("\u0661\u0663\u0662", "1\u00b22"):  # Arabic-Indic 132, superscript 2
+        with pytest.raises(FormatError):
+            read_number_string(other_digits)
 
 
 def test_sniff_and_read_any():

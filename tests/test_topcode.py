@@ -17,6 +17,10 @@ from iceflower.families import (
 from iceflower.coloring import TotalColoring
 from iceflower.topcode import (
     TopcodeMatrix,
+    _check_number_string,
+    _readings,
+    _row_steps,
+    _tree_rows,
     cuttings,
     realize_topcode,
     solve_dnsp,
@@ -153,6 +157,24 @@ def test_solve_dnsp_trivial_and_empty():
         solve_dnsp("12", [1, 2, 3])
 
 
+def test_a_number_string_is_ascii_digits_only():
+    # both pass str.isdigit(), but int() reads the Arabic-Indic digits as
+    # "132" and refuses the superscript 2: no cutting spells either back
+    for d in ("\u0661\u0663\u0662", "1\u00b22"):
+        with pytest.raises(ValueError, match="digits 0-9"):
+            solve_dnsp(d, [1])
+        with pytest.raises(ValueError, match="digits 0-9"):
+            next(cuttings(d, 1))
+
+
+def test_solve_dnsp_looks_up_only_the_q_that_fit_in_a_vast_range():
+    assert solve_dnsp("132", range(1, 10**12)) == solve_dnsp("132", [1])
+    with pytest.raises(ValueError, match="q values must be positive"):
+        solve_dnsp("132", range(0, 10**12))
+    with pytest.raises(ValueError, match="fits no requested q"):
+        solve_dnsp("132", range(2, 10**12))
+
+
 def test_solve_dnsp_142536_has_no_tree():
     # length 6 forces the single all-1-digit cutting; its two columns
     # (1,2,3) and (4,5,6) are vertex-disjoint, so nothing connected
@@ -250,6 +272,145 @@ def test_c12_solution_count_and_order_are_pinned():
         (69, 22, 22, 11, 88, 13, 20, 20, 15, 10, 12, 17),
         (20, 20, 19, 1, 4, 16, 2, 1, 20, 18, 23, 16),
     )
+
+
+def _reference_row_steps(row, q):
+    """The former step table of one row read alone, row = d[:o1] or d[o2:]."""
+    return [
+        {
+            p: [
+                (p + w, int(row[p : p + w]))
+                for w in (2, 1)
+                if left <= len(row) - p - w <= 2 * left and (w == 1 or row[p] != "0")
+            ]
+            for p in range(i, min(2 * i, len(row)) + 1)
+        }
+        for i, left in enumerate(range(q - 1, -1, -1))
+    ]
+
+
+def _reference_tree_rows(x_steps, y_steps):
+    """The former search of one split: every tree (X, Y) along the steps."""
+    q = len(x_steps)
+    parent = list(range(100))
+    xs, ys = [0] * q, [0] * q
+    found = []
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    def place(i, px, py, seen):
+        if i == q:
+            found.append((tuple(xs), tuple(ys)))
+            return
+        fewest = q + 1 - 2 * (q - i - 1)
+        for ex, x in x_steps[i][px]:
+            rx = find(x)
+            xs[i] = x
+            for ey, y in y_steps[i][py]:
+                ry = find(y)
+                if rx == ry:
+                    continue
+                grown = seen | 1 << x | 1 << y
+                if not fewest <= grown.bit_count() <= q + 1:
+                    continue
+                parent[rx] = ry
+                ys[i] = y
+                place(i + 1, ex, ey, grown)
+                parent[rx] = rx
+
+    place(0, 0, 0, 0)
+    return found
+
+
+def reference_solve_dnsp(d, q_values):
+    """The former solver: one search for each split of d into X | E | Y."""
+    _check_number_string(d)
+    qs = sorted(set(q_values))
+    if not qs or any(q < 1 for q in qs):
+        raise ValueError("q values must be positive")
+    n = len(d)
+    viable = [q for q in qs if 3 * q <= n <= 6 * q]
+    if not viable:
+        raise ValueError(
+            "string of length %d fits no requested q (needs 3q <= %d <= 6q)"
+            % (n, n)
+        )
+    out = []
+    for q in viable:
+        if q >= 100:
+            continue
+        found = []
+        x_steps = {o1: _reference_row_steps(d[:o1], q) for o1 in range(q, 2 * q + 1)}
+        y_steps = {o2: _reference_row_steps(d[o2:], q) for o2 in range(n - 2 * q, n - q + 1)}
+        for o1 in range(q, 2 * q + 1):
+            for o2 in range(max(o1 + q, n - 2 * q), min(o1 + 2 * q, n - q) + 1):
+                pairs = _reference_tree_rows(x_steps[o1], y_steps[o2])
+                if pairs:
+                    for es in _readings(d, o1, o2, q):
+                        found.extend(TopcodeMatrix(xs, es, ys) for xs, ys in pairs)
+        found.sort(key=lambda m: [v < 10 for v in m.X + m.E + m.Y])
+        out.extend((m,) + realize_topcode(m) for m in found)
+    return out
+
+
+def _seeded_digit_strings(seed, count):
+    """(d, q_values): up to 40 digits, with and without zeros.  Small q
+    come several to a call over their whole length range; q = 7..12 come
+    one or two to a call, 0-4 digits above 3q, where the solution count
+    stays small enough for a quick test."""
+    rng = random.Random(seed)
+    for case in range(count):
+        alphabet = "0123456789" if case % 2 else "123456789"
+        if case % 3:
+            qs = rng.sample(range(1, 7), rng.randrange(1, 4))
+            length = rng.randrange(3 * min(qs), min(6 * max(qs), 40) + 1)
+        else:
+            q = rng.randrange(7, 12)
+            qs = [q, q + 1][: rng.randrange(1, 3)]
+            length = 3 * q + rng.randrange(0, 5)
+        yield "".join(rng.choice(alphabet) for _ in range(length)), qs
+
+
+def test_solve_dnsp_equals_the_former_per_split_search():
+    inputs = [(DIGIT_STRING_60.replace("o", "0"), [12])]
+    inputs.extend(_seeded_digit_strings(37, 100))
+    hits, q_seen = 0, set()
+    for d, qs in inputs:
+        got = _outcome(solve_dnsp, d, qs)
+        assert got == _outcome(reference_solve_dnsp, d, qs), (d, qs)
+        if not isinstance(got, str):
+            hits += len(got)
+            q_seen.update(m.q for m, _, _ in got)
+    assert hits > 3000 and q_seen == set(range(1, 13))
+
+
+def test_one_search_per_y_start_is_the_union_of_the_per_split_searches():
+    checked = 0
+    for d, qs in _seeded_digit_strings(41, 120):
+        n = len(d)
+        for q in qs:
+            for o2 in range(max(2 * q, n - 2 * q), min(4 * q, n - q) + 1):
+                lo, hi = max(q, o2 - 2 * q), min(2 * q, o2 - q)
+                merged = [
+                    (o1,) + pair
+                    for o1, pairs in _tree_rows(
+                        _row_steps(d, 0, q, lo, hi), _row_steps(d, o2, q, n, n), o2
+                    ).items()
+                    for pair in pairs
+                ]
+                per_split = [
+                    (o1,) + pair
+                    for o1 in range(lo, hi + 1)
+                    for pair in _reference_tree_rows(
+                        _reference_row_steps(d[:o1], q), _reference_row_steps(d[o2:], q)
+                    )
+                ]
+                assert sorted(merged) == sorted(per_split), (d, q, o2)
+                checked += len(merged)
+    assert checked > 0
 
 
 def test_cuttings_of_a_long_string_start_at_once():
