@@ -187,6 +187,8 @@ def _dispatch(args) -> CommandResult:
         return CommandResult(0, formats.write_graph(g))
 
     if args.cmd == "hamiltonian":
+        if args.budget < 0:
+            raise ValueError("--budget: expected a count >= 0, got %d" % args.budget)
         degs = _ints(args.degrees, "degrees")
         hc = build_haired_cycle(degs)
         try:

@@ -130,33 +130,56 @@ def cuttings(d: str, q: int) -> Iterator[TopcodeMatrix]:
         yield TopcodeMatrix(vals[:q], vals[q : 2 * q], vals[2 * q :])
 
 
+_Frame = Tuple[Graph, List[Tuple[int, int]], Dict[int, int]]
+
+
 def _assemble(
-    cols: Sequence[Tuple[int, int, int]],
+    xy: Sequence[Tuple[int, int]],
     ends: Sequence[Tuple[int, int]],
     p: int,
-) -> Optional[Tuple[Graph, TotalColoring]]:
-    """Graph on 1..p whose column i joins the vertices ends[i], colored by
-    the column's labels, or None on loop/duplicate/disconnect."""
-    edges = []
+) -> Optional[_Frame]:
+    """The uncolored half of a realization, shared by realize_topcode and
+    solve_dnsp: the graph on 1..p whose column i joins the vertices
+    ends[i], its edges in column order and its vertex colors (the X and Y
+    labels), or None on loop/duplicate/disconnect.
+
+    It depends on the X and Y rows only, so solve_dnsp builds it once for
+    each (X, Y) pair and hands the same Graph to every middle row E read
+    with it; a Graph is never changed after it is built.  _color adds
+    each E's edge colors.
+    """
+    edges: List[Tuple[int, int]] = []
     vc: Dict[int, int] = {}
-    ec: Dict[Tuple[int, int], int] = {}
-    for (x, e, y), (u, v) in zip(cols, ends):
+    for (x, y), (u, v) in zip(xy, ends):
         if u == v:
             return None
         uv = _norm_edge(u, v)
-        if uv in ec:
+        if uv in edges:
             return None
         edges.append(uv)
-        ec[uv] = e
         vc[u] = x
         vc[v] = y
     g = Graph(p, edges)
     if not is_connected(g):
         return None
-    palette = max(
-        1, max(vc.values(), default=0), max(ec.values(), default=0)
-    )
-    return g, TotalColoring(palette, vc, ec)
+    return g, edges, vc
+
+
+def _color(frame: _Frame, es: Sequence[int]) -> TotalColoring:
+    """The total coloring of an assembled graph whose column i's edge
+    has color es[i]; the palette bound is the largest label, at least 1."""
+    _, edges, vc = frame
+    palette = max(1, max(vc.values()), max(es))
+    return TotalColoring(palette, dict(vc), dict(zip(edges, es)))
+
+
+def _distinct_labels(X: Sequence[int], Y: Sequence[int]) -> Optional[_Frame]:
+    """_assemble with each distinct endpoint value read as one vertex,
+    numbered 1.. in ascending value order."""
+    labels = sorted({*X, *Y})
+    vertex_of = {l: i + 1 for i, l in enumerate(labels)}
+    ends = [(vertex_of[x], vertex_of[y]) for x, y in zip(X, Y)]
+    return _assemble(list(zip(X, Y)), ends, len(labels))
 
 
 def realize_topcode(
@@ -174,19 +197,18 @@ def realize_topcode(
     splits are tried coarsest first and the first graph that works is
     returned, so the distinct-labels reading wins whenever it succeeds.
     """
-    cols = t.columns()
-    labels = sorted({v for x, _, y in cols for v in (x, y)})
     if not identify:
-        vertex_of = {l: i + 1 for i, l in enumerate(labels)}
-        ends = [(vertex_of[x], vertex_of[y]) for x, _, y in cols]
-        return _assemble(cols, ends, len(labels))
+        frame = _distinct_labels(t.X, t.Y)
+        return None if frame is None else (frame[0], _color(frame, t.E))
 
     if t.q > 6:
         raise ValueError("identification search is limited to q <= 6")
+    xy = list(zip(t.X, t.Y))
+    labels = sorted({*t.X, *t.Y})
     # occurrence slots per label value, in column order: column i's x
     # end is slot 2i and its y end slot 2i+1
     slots: Dict[int, List[int]] = {l: [] for l in labels}
-    for i, (x, _, y) in enumerate(cols):
+    for i, (x, y) in enumerate(xy):
         slots[x].append(2 * i)
         slots[y].append(2 * i + 1)
 
@@ -221,36 +243,55 @@ def realize_topcode(
 
     for slot_vertex in product(0, {}, 1):
         ends = [(slot_vertex[2 * i], slot_vertex[2 * i + 1]) for i in range(t.q)]
-        realized = _assemble(cols, ends, max(slot_vertex.values()))
-        if realized is not None:
-            return realized
+        frame = _assemble(xy, ends, max(slot_vertex.values()))
+        if frame is not None:
+            return frame[0], _color(frame, t.E)
     return None
 
 
-_Steps = List[Dict[int, List[Tuple[int, int]]]]
+_Steps = List[Dict[int, List[Tuple[int, int, int]]]]
 
 
-def _row_steps(d: str, start: int, q: int, lo: int, hi: int) -> _Steps:
-    """steps[i][p]: the (end, value) readings of segment i at position p
-    of a row of q segments that starts at d[start] and ends anywhere in
-    lo..hi, wider first.
+def _row_steps(
+    d: str, start: int, q: int, lo: int, hi: int, last_start: Optional[int] = None
+) -> _Steps:
+    """steps[i][p]: the (end, value, forced) readings of segment i at
+    position p of a row of q segments that starts at d[start] (or at any
+    position up to last_start) and ends anywhere in lo..hi, wider first.
 
-    A reading is kept only when the segments after it, at 1-2 digits
-    each, can still end the row in lo..hi, and a two-digit reading may
-    not start with '0' (see _readings).  The X row, read from 0, ends in
-    the range its Y row leaves it; the Y row ends at len(d) exactly.
+    A reading is kept only when the row has a completion from it: the
+    segments after it, at 1-2 digits each and none of two digits starting
+    with '0' (see _readings), can be read to an end in lo..hi.  The X
+    row, read from 0, ends in the range its Y row leaves it; the Y row
+    ends at len(d) exactly, so its entries depend on i, p and len(d)
+    only, and one table with last_start serves every Y-row start.
+
+    forced is a bitmask of the values that every completion of the row
+    from this reading reads: the reading's own value, and those that all
+    of the next segment's readings at `end` force.  The table is built
+    backward, last segment first, to fill it in.
     """
-    return [
-        {
-            p: [
-                (p + w, int(d[p : p + w]))
-                for w in (2, 1)
-                if p + w + left <= hi and p + w + 2 * left >= lo and (w == 1 or d[p] != "0")
-            ]
-            for p in range(start + i, start + 2 * i + 1)
-        }
-        for i, left in enumerate(range(q - 1, -1, -1))
-    ]
+    last = start if last_start is None else last_start
+    steps: _Steps = [{} for _ in range(q)]
+    after: Dict[int, List[Tuple[int, int, int]]] = {}
+    for i in range(q - 1, -1, -1):
+        left = q - 1 - i
+        for p in range(start + i, last + 2 * i + 1):
+            readings = []
+            for w in (2, 1):
+                end = p + w
+                if end + left <= hi and end + 2 * left >= lo and (w == 1 or d[p] != "0"):
+                    v = int(d[p:end])
+                    forced = 1 << v
+                    if left:
+                        nxt = after[end]
+                        if not nxt:  # leading zeros leave the rest no reading
+                            continue
+                        forced |= nxt[0][2] & nxt[-1][2]  # one or two readings
+                    readings.append((end, v, forced))
+            steps[i][p] = readings
+        after = steps[i]
+    return steps
 
 
 def _tree_rows(
@@ -264,11 +305,20 @@ def _tree_rows(
     prefix is searched once for all the X-row ends it can still reach.  The
     labels seen are an int bitmask and connectivity is a union-find over
     the values 0-99, undone on backtrack (Tarjan 1975).  A branch dies
-    once its label count cannot end at exactly q+1, which cuts most
-    branches and is tested first, and when a column's two ends already
-    share a root: a loop, a repeated pair or a cycle.
+    when its columns cannot reach q+1 labels, and when a column's two
+    ends already share a root: a loop, a repeated pair or a cycle.
+
+    It also dies when the labels seen, together with the forced values of
+    the x and y readings (see _row_steps), are more than q+1.  That cut
+    is sound: every completion of the branch reads all those values, so
+    its label set holds their union, and a tree with q edges has exactly
+    q+1 labels.  It removes only branches without a completion, so the
+    pairs found are the same.  The forced values hold the readings' own,
+    so the cut also covers a label count above q+1, and it mostly fires
+    a level or two before that count would overflow.
     """
     q = len(x_steps)
+    most = q + 1
     parent = list(range(100))
     xs, ys = [0] * q, [0] * q
     found: Dict[int, List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = {}
@@ -282,13 +332,18 @@ def _tree_rows(
         if i == q:
             found.setdefault(px, []).append((tuple(xs), tuple(ys)))
             return
-        fewest = q + 1 - 2 * (q - i - 1)  # each column left adds <= 2 labels
-        for ex, x in x_steps[i][px]:
+        fewest = most - 2 * (q - i - 1)  # each column left adds <= 2 labels
+        for ex, x, fx in x_steps[i][px]:
+            bound = seen | fx
+            if bound.bit_count() > most:
+                continue
             rx = find(x)
             xs[i] = x
-            for ey, y in y_steps[i][py]:
+            for ey, y, fy in y_steps[i][py]:
+                if (bound | fy).bit_count() > most:
+                    continue
                 grown = seen | 1 << x | 1 << y
-                if not fewest <= grown.bit_count() <= q + 1:
+                if grown.bit_count() < fewest:
                     continue
                 ry = find(y)
                 if rx == ry:
@@ -313,15 +368,20 @@ def solve_dnsp(
     There is one search for each position o2 where the Y row starts.  It
     places the columns (x_i, y_i) of X and Y together, lets the X row end
     at any o1 in lo..hi, the range o2 leaves for it (o1 in q..2q and
-    o2 - o1 in q..2q), and prunes on loops, repeated pairs, cycles and
-    label counts (see _tree_rows).  The middle row E = d[o1:o2], which
-    the tree test never constrains, is read out once for each o1 with a
-    passing (X, Y).  Results come out per q in cutting-stream order:
-    segment widths of X, then E, then Y, width 2 before width 1.  No two
-    cuttings share a width pattern, so that sort key alone fixes the
-    order, whatever order the searches found them in.  There is no
-    dedup: a cutting is bit-exact, so different cuttings give different
-    matrices.
+    o2 - o1 in q..2q), and prunes on loops, repeated pairs, cycles, label
+    counts and the values each row must still read (see _tree_rows).  The
+    Y row's step table is built once per q for all o2; the X row's
+    depends on lo..hi, so each o2 builds its own.
+
+    Each passing (X, Y) is realized once (_assemble) and its Graph is
+    shared by every solution it is part of.  The middle row E = d[o1:o2],
+    which the tree test never constrains, is read out once for each o1
+    with a passing (X, Y), and each reading only adds its edge colors.
+    Results come out per q in cutting-stream order: segment widths of X,
+    then E, then Y, width 2 before width 1.  No two cuttings share a
+    width pattern, so that sort key alone fixes the order, whatever order
+    the searches found them in.  There is no dedup: a cutting is
+    bit-exact, so different cuttings give different matrices.
 
     Every value is at most 99, so a matrix has at most 100 distinct
     labels, while a tree with q edges needs q+1 of them: every q >= 100
@@ -348,17 +408,30 @@ def solve_dnsp(
     for q in viable:
         if q >= 100:
             continue
-        found: List[TopcodeMatrix] = []
-        for o2 in range(max(2 * q, n - 2 * q), min(4 * q, n - q) + 1):
+        first, last = max(2 * q, n - 2 * q), min(4 * q, n - q)
+        y_steps = _row_steps(d, first, q, n, n, last)
+        found: List[Tuple[TopcodeMatrix, Graph, TotalColoring]] = []
+        for o2 in range(first, last + 1):
             lo, hi = max(q, o2 - 2 * q), min(2 * q, o2 - q)
-            rows = _tree_rows(_row_steps(d, 0, q, lo, hi), _row_steps(d, o2, q, n, n), o2)
-            for o1, pairs in rows.items():
+            for o1, pairs in _tree_rows(_row_steps(d, 0, q, lo, hi), y_steps, o2).items():
+                trees = []
+                for xs, ys in pairs:
+                    frame = _distinct_labels(xs, ys)
+                    if frame is None:
+                        raise RuntimeError(
+                            "rows X=%s Y=%s passed the tree search but do not realize as a tree"
+                            % (xs, ys)
+                        )
+                    trees.append((xs, ys, frame))
                 for es in _readings(d, o1, o2, q):
-                    found.extend(TopcodeMatrix(xs, es, ys) for xs, ys in pairs)
+                    found.extend(
+                        (TopcodeMatrix(xs, es, ys), frame[0], _color(frame, es))
+                        for xs, ys, frame in trees
+                    )
         # a value below 10 is one digit wide, any other two (no leading
         # zero), so this key is the wider-first order of cuttings(d, q)
-        found.sort(key=lambda m: [v < 10 for v in m.X + m.E + m.Y])
-        out.extend((m,) + realize_topcode(m) for m in found)
+        found.sort(key=lambda s: [v < 10 for v in s[0].X + s[0].E + s[0].Y])
+        out.extend(found)
     return out
 
 

@@ -163,6 +163,14 @@ def test_hamiltonian_build(tmp_path):
     assert r3.exit_code == 2  # spine needs at least three vertices
 
 
+def test_hamiltonian_build_with_a_zero_budget_samples():
+    r = run(["hamiltonian", "build", "3,3,3,3", "--budget", "0"])
+    assert r.exit_code == 0, r.note
+    head, rest = r.payload.split("\n", 1)
+    assert head == "closures 1 partial 1"
+    assert are_isomorphic(read_graph(rest.strip() + "\n"), complete_graph(4))
+
+
 def test_hamiltonian_build_on_a_60_vertex_spine():
     r = run(["hamiltonian", "build", ",".join(["2"] * 57 + ["3", "2", "3"])])
     assert r.exit_code == 0, r.note
@@ -404,6 +412,10 @@ _TWO_STAR_REPLAY = recompose_colored(CoincideScript(_S4.backbone(), (1, 1, 0, 0)
         pytest.param(
             ["topcode", "solve", "{a}", "--q", "1"], {"a": "1\u00b22\n"},
             id="solve-superscript-digit",
+        ),
+        pytest.param(
+            ["hamiltonian", "build", "3,3,3,3", "--budget", "-1"], {},
+            id="hamiltonian-negative-budget",
         ),
         pytest.param(
             ["coloring", "chi-fdt", "{a}", "--max-colors", "-1"], {"a": write_graph(path_graph(3))},

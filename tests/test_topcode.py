@@ -413,6 +413,65 @@ def test_one_search_per_y_start_is_the_union_of_the_per_split_searches():
     assert checked > 0
 
 
+def _value_mask(values):
+    mask = 0
+    for v in values:
+        mask |= 1 << v
+    return mask
+
+
+def _check_forced(d, steps, ends):
+    """Every reading of the table against brute force: it has a completion
+    to one of `ends`, and its forced mask is its value plus the values
+    that all of its completions read."""
+    q = len(steps)
+    checked = 0
+    for i, table in enumerate(steps):
+        left = q - 1 - i
+        for p, readings in table.items():
+            alive = []
+            for end, value in ((p + w, int(d[p : p + w])) for w in (2, 1) if p + w <= len(d)):
+                if left:
+                    rest = [r for o in ends for r in _readings(d, end, o, left)]
+                else:
+                    rest = [()] if end in ends else []
+                if rest and (end - p == 1 or d[p] != "0"):
+                    common = _value_mask(rest[0])
+                    for r in rest:
+                        common &= _value_mask(r)
+                    alive.append((end, value, 1 << value | common))
+            assert readings == alive, (d, i, p)
+            checked += len(alive)
+    return checked
+
+
+def test_forced_masks_equal_the_values_every_completion_reads():
+    checked = 0
+    for d, qs in _seeded_digit_strings(43, 60):
+        n = len(d)
+        for q in qs:
+            first, last = max(2 * q, n - 2 * q), min(4 * q, n - q)
+            checked += _check_forced(d, _row_steps(d, first, q, n, n, last), [n])
+            for o2 in range(first, last + 1):
+                lo, hi = max(q, o2 - 2 * q), min(2 * q, o2 - q)
+                checked += _check_forced(d, _row_steps(d, 0, q, lo, hi), range(lo, hi + 1))
+    assert checked > 5000
+
+
+def test_the_shared_y_table_equals_the_table_of_each_start():
+    checked = 0
+    for d, qs in _seeded_digit_strings(47, 120):
+        n = len(d)
+        for q in qs:
+            first, last = max(2 * q, n - 2 * q), min(4 * q, n - q)
+            shared = _row_steps(d, first, q, n, n, last)
+            for o2 in range(first, last + 1):
+                alone = _row_steps(d, o2, q, n, n)
+                assert [{p: shared[i][p] for p in table} for i, table in enumerate(alone)] == alone
+                checked += 1
+    assert checked > 400
+
+
 def test_cuttings_of_a_long_string_start_at_once():
     d = "1" * 3300
     m = next(cuttings(d, 1000))
