@@ -64,6 +64,7 @@ from .lattice import (
     ClosureResult,
     CoincideScript,
     HairedCycle,
+    NoClosure,
     build_haired_cycle,
     close_to_hamiltonian,
     colored_lattice_member,

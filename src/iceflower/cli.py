@@ -20,6 +20,7 @@ from .coloring import bfdt, chi_fdt, is_proper_total
 from .graph import is_tree
 from .graph import find_hamilton_cycle, is_connected, is_planar, is_graphical, realize_sequence
 from .lattice import (
+    NoClosure,
     build_haired_cycle,
     close_to_hamiltonian,
     colored_lattice_member,
@@ -193,7 +194,7 @@ def _dispatch(args) -> CommandResult:
         hc = build_haired_cycle(degs)
         try:
             res = close_to_hamiltonian(hc, exhaustive_limit=args.budget, seed=args.seed)
-        except ValueError as e:
+        except NoClosure as e:
             return CommandResult(1, note="no closure: %s" % e)
         head = "closures %d partial %d" % (len(res.graphs), 1 if res.partial else 0)
         docs = [formats.write_graph(g).rstrip("\n") for g in res.graphs]

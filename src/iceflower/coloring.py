@@ -13,8 +13,9 @@ requires every color to sit inside {1..M}.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .graph import Graph, _norm_edge, find_proper_vertex_coloring
 
@@ -176,6 +177,78 @@ def _reach(M: int, k: int) -> List[int]:
     return reach
 
 
+@functools.lru_cache(maxsize=128)
+def _tables(M: int, k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """(reach, fit) for palette M and common weight k, built once per pair.
+
+    reach is _reach(M, k); fit[d], for d in 0..M, is the bitmask of the
+    colors c whose reach[c] holds at least d edge colors.  Both depend on
+    (M, k) alone, so every graph and every palette sweep shares them.
+    The cache is bounded because one pair is O(M^2) bits, and an
+    unbounded cache would keep every k of every palette searched.
+    """
+    reach = _reach(M, k)
+    fit = [0] * (M + 1)
+    for c in range(1, M + 1):
+        for d in range(reach[c].bit_count() + 1):
+            fit[d] |= 1 << c
+    return tuple(reach), tuple(fit)
+
+
+class _Plan(NamedTuple):
+    """The palette-independent layout of one graph's search, by position
+    in the search order."""
+
+    order: List[int]  # the vertex at each position
+    earlier: List[List[int]]  # positions of the earlier neighbors, ascending
+    is_pendant: List[bool]  # degree 1, with its support placed earlier
+    prev_sibling: List[int]  # previous pendant on the same support, or -1
+    deg: List[int]
+    # after position i: each earlier neighbor j of i that still has
+    # neighbors beyond i, with how many
+    need: List[List[Tuple[int, int]]]
+
+
+def _plan(g: Graph) -> Optional[_Plan]:
+    """Lay out g's search once for every palette: None for an edgeless
+    graph, which needs no search.  Raises ValueError when p + q exceeds
+    MAX_SEARCH_ELEMENTS."""
+    if g.p + g.q > MAX_SEARCH_ELEMENTS:
+        raise ValueError(
+            "coloring search takes graphs with p + q <= %d, got p + q = %d"
+            % (MAX_SEARCH_ELEMENTS, g.p + g.q)
+        )
+    if g.q == 0:
+        return None
+    order = _search_order(g)
+    p = g.p
+    pos = {v: i for i, v in enumerate(order)}
+    earlier = [
+        sorted(pos[w] for w in g._adj[v] if pos[w] < i)
+        for i, v in enumerate(order)
+    ]
+    is_pendant = [
+        g.degree(order[i]) == 1 and len(earlier[i]) == 1 for i in range(p)
+    ]
+    prev_sibling = [-1] * p
+    last_at: Dict[int, int] = {}
+    for i in range(p):
+        if is_pendant[i]:
+            sup = earlier[i][0]
+            if sup in last_at:
+                prev_sibling[i] = last_at[sup]
+            last_at[sup] = i
+    need: List[List[Tuple[int, int]]] = []
+    for i, back in enumerate(earlier):
+        need.append([])
+        for j in back:
+            n = sum(1 for w in g._adj[order[j]] if pos[w] > i)
+            if n:
+                need[i].append((j, n))
+    deg = [g.degree(v) for v in order]
+    return _Plan(order, earlier, is_pendant, prev_sibling, deg, need)
+
+
 def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
     """Search for a proper total coloring with every edge weight equal.
 
@@ -200,18 +273,22 @@ def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
     outcome of an exhaustive search.  They add no recursion, so the
     search depth, and with it MAX_SEARCH_ELEMENTS, is unchanged.
 
+    The layout of the search (_plan) depends on g alone, and the tables
+    (_tables) on (M, k) alone; chi_fdt lays g out once for all its
+    palettes.  The tables are cached for the 128 most recent (M, k)
+    pairs, at most about 8 MB for palettes near M = 400.
+
     Raises ValueError when p + q exceeds MAX_SEARCH_ELEMENTS, the size
     whose search depth still fits Python's default recursion limit.
     """
-    if g.p + g.q > MAX_SEARCH_ELEMENTS:
-        raise ValueError(
-            "coloring search takes graphs with p + q <= %d, got p + q = %d"
-            % (MAX_SEARCH_ELEMENTS, g.p + g.q)
-        )
-    M = palette
+    return _search(g, _plan(g), palette)
+
+
+def _search(g: Graph, plan: Optional[_Plan], M: int) -> Optional[TotalColoring]:
+    """find_fdt_coloring(g, M) on the layout plan = _plan(g)."""
     if M < 1:
         return None
-    if g.q == 0:
+    if plan is None:
         vc = find_proper_vertex_coloring(g, M)
         if vc is None:
             return None
@@ -219,38 +296,8 @@ def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
     if M < g.max_degree() + 1:
         return None
 
-    order = _search_order(g)
+    order, earlier, is_pendant, prev_sibling, deg, need = plan
     p = g.p
-    pos = {v: i for i, v in enumerate(order)}
-    # positions of the neighbors placed before each position, ascending
-    earlier: List[List[int]] = [
-        sorted(pos[w] for w in g._adj[v] if pos[w] < i)
-        for i, v in enumerate(order)
-    ]
-    # pendant handling: vertex of degree 1 whose support sits earlier
-    is_pendant = [
-        g.degree(order[i]) == 1 and len(earlier[i]) == 1 for i in range(p)
-    ]
-    # sibling chain: previous pendant (by position) hanging off the same support
-    prev_sibling = [-1] * p
-    last_at: Dict[int, int] = {}
-    for i in range(p):
-        if is_pendant[i]:
-            sup = earlier[i][0]
-            if sup in last_at:
-                prev_sibling[i] = last_at[sup]
-            last_at[sup] = i
-    deg = [g.degree(v) for v in order]
-    # after position i: each earlier neighbor j of i that still has
-    # neighbors beyond i, with how many
-    need: List[List[Tuple[int, int]]] = []
-    for i, back in enumerate(earlier):
-        need.append([])
-        for j in back:
-            n = sum(1 for w in g._adj[order[j]] if pos[w] > i)
-            if n:
-                need[i].append((j, n))
-
     vcol = [0] * p
     emask = [0] * p  # bitmask of edge colors used at each position
     # edge colors from each position to its earlier neighbors, in order
@@ -259,8 +306,9 @@ def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
     free = [[0] * len(back) for back in earlier]
     pend_ecol = [0] * p  # pendant positions: color of their single edge
     full = (1 << (M + 1)) - 2  # bits 1..M
-    reach: List[int] = []  # _reach(M, k) for the k being searched
-    fit: List[int] = []  # fit[d]: the colors c with at least d colors in reach[c]
+    k = 0  # the common weight being searched
+    reach: Tuple[int, ...] = ()  # _reach(M, k)
+    fit: Tuple[int, ...] = ()  # fit[d]: the colors c with at least d colors in reach[c]
 
     def capacity_left(i: int) -> bool:
         """Every earlier neighbor of the placed position i can still give
@@ -270,7 +318,7 @@ def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
                 return False
         return True
 
-    def place(i: int, k: int) -> bool:
+    def place(i: int) -> bool:
         if i == p:
             return True
         back = earlier[i]
@@ -290,7 +338,7 @@ def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
                     emask[i] = bit
                     pend_ecol[i] = e
                     echoice[i][0] = e
-                    if capacity_left(i) and place(i + 1, k):
+                    if capacity_left(i) and place(i + 1):
                         return True
                     emask[i] = 0
                     emask[j] &= ~bit
@@ -302,46 +350,44 @@ def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
             cand ^= low
             c = low.bit_length() - 1
             vcol[i] = c
-            if color_edges(i, c, 0, 0, k) if back else place(i + 1, k):
+            if color_edges(i, c, 0, 0) if back else place(i + 1):
                 return True
         vcol[i] = 0
         return False
 
-    def color_edges(i: int, c: int, idx: int, local: int, k: int) -> bool:
+    def color_edges(i: int, c: int, idx: int, local: int) -> bool:
         """Color the edges from position i to earlier[i][idx:], then place i + 1."""
         back = earlier[i]
         j = back[idx]
         cj = vcol[j]
         s = c + cj
-        a = free[i][idx] & ~local
+        # the edge colors s - k and s + k, ascending; s - k is left out
+        # where it is below 1, repeats s + k (k == 0) or equals c (cj == k)
+        opts = 1 << (s + k)
+        if k and cj != k and s > k:
+            opts |= 1 << (s - k)
+        opts &= free[i][idx] & ~local
         last = idx + 1 == len(back)
-        for e in ((s - k, s + k) if k and cj != k else (s + k,)):
-            if e < 1 or not a >> e & 1:
-                continue
-            bit = 1 << e
+        while opts:
+            bit = opts & -opts
+            opts ^= bit
             emask[j] |= bit
-            echoice[i][idx] = e
+            echoice[i][idx] = bit.bit_length() - 1
             if last:
                 emask[i] = local | bit
-                if capacity_left(i) and place(i + 1, k):
+                if capacity_left(i) and place(i + 1):
                     return True
                 emask[i] = 0
-            elif color_edges(i, c, idx + 1, local | bit, k):
+            elif color_edges(i, c, idx + 1, local | bit):
                 return True
             emask[j] ^= bit
         return False
 
-    top = g.max_degree()
+    # a search that fails undoes every vertex and edge color it set, so
+    # each k starts from all-zero vcol and emask
     for k in range(0, 2 * M - 1):
-        reach = _reach(M, k)
-        fit = [0] * (top + 1)
-        for c in range(1, M + 1):
-            for d in range(min(reach[c].bit_count(), top) + 1):
-                fit[d] |= 1 << c
-        for arr in (vcol, emask, pend_ecol):
-            for i in range(p):
-                arr[i] = 0
-        if place(0, k):
+        reach, fit = _tables(M, k)
+        if place(0):
             vc = {order[i]: vcol[i] for i in range(p)}
             ec: Dict[EdgeKey, int] = {}
             for i in range(p):
@@ -367,11 +413,19 @@ class ChiFdtResult:
 def chi_fdt(g: Graph, max_palette: int) -> ChiFdtResult:
     """Smallest palette M <= max_palette with an equal-weight proper total
     coloring.  Walks M upward from Delta+1, so absence below the answer is
-    proved exhaustively.  m is None when the budget is exhausted.  Graphs
-    above find_fdt_coloring's size limit raise ValueError."""
+    proved exhaustively.  m is None when the budget is exhausted.
+
+    g is laid out for the search once, and every palette reuses that
+    layout.  Each (M, k) table is built once and kept in a cache of the
+    128 most recent pairs (about 64 KB a pair at M = 400, so at most
+    about 8 MB).  The answers are those of find_fdt_coloring(g, M) for
+    each M in turn.  Graphs above find_fdt_coloring's size limit raise
+    ValueError, unless max_palette <= Delta leaves no palette to search."""
     lo = g.max_degree() + 1
-    for M in range(lo, max_palette + 1):
-        tc = find_fdt_coloring(g, M)
-        if tc is not None:
-            return ChiFdtResult(M, tc, M)
+    if max_palette >= lo:
+        plan = _plan(g)
+        for M in range(lo, max_palette + 1):
+            tc = _search(g, plan, M)
+            if tc is not None:
+                return ChiFdtResult(M, tc, M)
     return ChiFdtResult(None, None, max_palette)

@@ -340,14 +340,28 @@ def _refine_colors(g: Graph) -> List[List[int]]:
     return [sorted(cells[c]) for c in sorted(cells)]
 
 
+# canonical_form's search recurses once per vertex, so it needs p + 1
+# stack frames.  Python's default recursion limit is 1000; this leaves
+# about 200 frames to the callers.
+MAX_CANONICAL_VERTICES = 800
+
+
 def canonical_form(g: Graph) -> Tuple[int, Tuple[Edge, ...]]:
     """(p, edge tuple) invariant under relabeling: equal iff isomorphic.
 
     Backtracks over relabelings compatible with the refined color cells,
     keeping the lexicographically smallest adjacency encoding.  A subtree
     is cut as soon as its prefix exceeds the best encoding found so far.
+
+    Raises ValueError when p exceeds MAX_CANONICAL_VERTICES, the size
+    whose search depth still fits Python's default recursion limit.
     """
     p = g.p
+    if p > MAX_CANONICAL_VERTICES:
+        raise ValueError(
+            "canonical form takes graphs with p <= %d, got p = %d"
+            % (MAX_CANONICAL_VERTICES, p)
+        )
     if g.q == 0:
         return (p, ())
     cells = _refine_colors(g)

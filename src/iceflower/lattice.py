@@ -245,6 +245,11 @@ class ClosureResult:
     partial: bool  # True when sampling replaced the exhaustive sweep
 
 
+class NoClosure(ValueError):
+    """No pairing of a haired cycle's pendants closes it: a proven "no",
+    unlike a ValueError for input beyond a size limit."""
+
+
 def _chord_graphs(
     n: int, residual: List[int]
 ) -> Iterator[List[Tuple[int, int]]]:
@@ -297,14 +302,15 @@ def close_to_hamiltonian(
     Beyond `exhaustive_limit` pendants the sweep switches to seeded
     random pairings and the result is flagged partial.  When no sample
     avoids multi-edges, the first chord set of the exhaustive order
-    stands in for them, so the ValueError for "no pairing" is always
-    the outcome of an exhaustive search.
+    stands in for them, so NoClosure (a ValueError) is always the
+    outcome of an exhaustive search.  Spines beyond canonical_form's
+    MAX_CANONICAL_VERTICES raise a plain ValueError.
     """
     n = len(hc.spine)
     residual = [len(hc.pendants[v]) for v in hc.spine]
     total = sum(residual)
     if total % 2:
-        raise ValueError("odd pendant count: no perfect pairing exists")
+        raise NoClosure("odd pendant count: no perfect pairing exists")
     if total == 0:
         return ClosureResult([canonical_relabel(hc.graph)], False)
 
@@ -327,7 +333,7 @@ def close_to_hamiltonian(
             chord_sets = list(islice(_chord_graphs(n, residual), 1))
 
     if not chord_sets:
-        raise ValueError("no pairing avoids multi-edges")
+        raise NoClosure("no pairing avoids multi-edges")
 
     results: Dict[Tuple, Graph] = {}
     for chords in chord_sets:

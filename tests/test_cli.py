@@ -418,6 +418,10 @@ _TWO_STAR_REPLAY = recompose_colored(CoincideScript(_S4.backbone(), (1, 1, 0, 0)
             id="hamiltonian-negative-budget",
         ),
         pytest.param(
+            ["hamiltonian", "build", ",".join(["2"] * 3000)], {},
+            id="hamiltonian-spine-above-canonical-size-limit",
+        ),
+        pytest.param(
             ["coloring", "chi-fdt", "{a}", "--max-colors", "-1"], {"a": write_graph(path_graph(3))},
             id="chi-fdt-negative-max-colors",
         ),

@@ -15,10 +15,12 @@ from iceflower.families import (
 )
 from iceflower.coloring import (
     MAX_SEARCH_ELEMENTS,
+    ChiFdtResult,
     TotalColoring,
     _candidate_colors,
     _reach,
     _search_order,
+    _tables,
     bfdt,
     chi_fdt,
     edge_weight,
@@ -387,3 +389,67 @@ def test_search_size_limit_is_a_value_error_not_a_recursion_error():
     assert is_proper_total(path_graph(largest), res.coloring)
     with pytest.raises(ValueError):
         chi_fdt(path_graph(largest + 1), 6)
+
+
+def former_chi_fdt(g, max_palette):
+    """chi_fdt as it was before it laid g out once: one find_fdt_coloring
+    call, with its own layout, per palette."""
+    for M in range(g.max_degree() + 1, max_palette + 1):
+        tc = find_fdt_coloring(g, M)
+        if tc is not None:
+            return ChiFdtResult(M, tc, M)
+    return ChiFdtResult(None, None, max_palette)
+
+
+def _result_fields(r):
+    if r.coloring is None:
+        return (r.m, r.searched_up_to, None)
+    f = r.coloring
+    return (r.m, r.searched_up_to, f.palette, list(f.vertex_colors.items()), list(f.edge_colors.items()))
+
+
+def test_one_layout_per_graph_gives_the_per_palette_answers():
+    cases = [(g, max(palettes)) for g, palettes in _differential_graphs()]
+    for p in range(1, 8):
+        for t in free_trees(p):
+            cases.append((t, 1 + 2 * t.max_degree()))
+    # edgeless, an isolated vertex, max_palette <= Delta, max_palette 0
+    cases += [(Graph(3, []), 2), (Graph(1, []), 1), (Graph(4, [(1, 2), (2, 3)]), 6)]
+    cases += [(star_graph(4), 4), (star_graph(4), 1), (complete_graph(4), 3)]
+    cases += [(path_graph(3), 0), (Graph(2, []), 0)]
+    for g, max_palette in cases:
+        want = former_chi_fdt(g, max_palette)
+        got = chi_fdt(g, max_palette)
+        assert _result_fields(got) == _result_fields(want), (g.edges(), max_palette)
+
+
+def test_chi_fdt_at_or_below_delta_searches_nothing_even_above_the_size_limit():
+    res = chi_fdt(star_graph(900), 900)
+    assert (res.m, res.coloring, res.searched_up_to) == (None, None, 900)
+
+
+def test_cached_tables_are_reach_and_every_fit_count():
+    assert _tables.cache_info().maxsize is not None
+    for M in range(1, 13):
+        for k in range(0, 2 * M - 1):
+            reach, fit = _tables(M, k)
+            assert type(reach) is tuple and type(fit) is tuple
+            assert list(reach) == _reach(M, k), (M, k)
+            sizes = [len([e for e in range(M + 2) if reach[c] >> e & 1]) for c in range(M + 1)]
+            want = [
+                sum(1 << c for c in range(1, M + 1) if sizes[c] >= d) for d in range(M + 1)
+            ]
+            assert list(fit) == want, (M, k)
+            assert _tables(M, k) == (reach, fit)
+
+
+def test_table_cache_stays_within_its_bound_on_a_wide_palette_sweep():
+    g = star_graph(60)
+    bound = _tables.cache_info().maxsize
+    _tables.cache_clear()
+    for M in range(61, 61 + bound + 20):
+        f = find_fdt_coloring(g, M)
+        assert f is not None and bfdt(g, f).bfdt == 0
+    info = _tables.cache_info()
+    assert info.misses > bound
+    assert info.currsize <= bound

@@ -9,6 +9,7 @@ import pytest
 import iceflower
 from iceflower import families
 from iceflower.graph import (
+    MAX_CANONICAL_VERTICES,
     Graph,
     _refine_colors,
     are_isomorphic,
@@ -472,3 +473,12 @@ def test_canonical_form_of_symmetric_12_vertex_graphs_is_fast_and_invariant():
     mobius = Graph(12, cycle.edges() + [(i, i + 6) for i in range(1, 7)])
     for g in (cycle, mobius):
         assert canonical_form(_shuffled(rng, g)) == canonical_form(g)
+
+
+def test_canonical_form_above_its_vertex_limit_is_a_value_error_not_a_recursion_error():
+    # only above the limit: at or below it a long cycle is exponential
+    g = cycle_graph(MAX_CANONICAL_VERTICES + 1)
+    with pytest.raises(ValueError, match="p <= %d" % MAX_CANONICAL_VERTICES):
+        canonical_form(g)
+    with pytest.raises(ValueError, match="p <= %d" % MAX_CANONICAL_VERTICES):
+        are_isomorphic(g, g)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from iceflower.graph import (
+    MAX_CANONICAL_VERTICES,
     Graph,
     are_isomorphic,
     canonical_form,
@@ -28,6 +29,7 @@ from iceflower.coloring import TotalColoring, is_proper_total
 from iceflower.leafops import LeafEdge, colored_leaf_coincide, disjoint_union, leaf_coincide
 from iceflower.lattice import (
     CoincideScript,
+    NoClosure,
     _chord_graphs,
     build_haired_cycle,
     close_to_hamiltonian,
@@ -158,6 +160,17 @@ def test_close_errors():
     with pytest.raises(ValueError):
         # the two pendants sit on cycle-adjacent spine vertices
         close_to_hamiltonian(build_haired_cycle([3, 3, 2]))
+
+
+def test_only_a_proven_no_closure_is_a_no_closure():
+    with pytest.raises(NoClosure):
+        close_to_hamiltonian(build_haired_cycle([3, 2, 2]))
+    with pytest.raises(NoClosure):
+        close_to_hamiltonian(build_haired_cycle([3, 3, 2]))
+    # a spine above canonical_form's vertex limit is refused, not a "no"
+    with pytest.raises(ValueError) as err:
+        close_to_hamiltonian(build_haired_cycle([2] * (MAX_CANONICAL_VERTICES + 1)))
+    assert not isinstance(err.value, NoClosure)
 
 
 def test_close_results_are_hamiltonian_with_right_degrees():
