@@ -2,15 +2,16 @@
 
 The enumeration helpers here are used to drive whole-catalog tests: every
 graph up to isomorphism on p vertices, the connected ones, and the free
-trees (with Otter's count of them).  The brute-force hamilton and
-Kuratowski searches exist only to cross-check the fast implementations in
-graph.py and are not meant to be fast themselves.
+trees, listed through the restricted-growth sequences that also split
+topcode labels into vertices.  The brute-force hamilton and Kuratowski
+searches exist only to cross-check the fast implementations in graph.py
+and are not meant to be fast themselves.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations, product
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import combinations, permutations
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .graph import (
     Graph,
@@ -147,49 +148,62 @@ def tree_encoding(g: Graph) -> Tuple:
     return min(encode(c, None) for c in sorted(alive))
 
 
-def count_free_trees(p: int) -> int:
-    """Number of trees on p vertices up to isomorphism (OEIS A000055).
+def restricted_growth(n: int, low: int = 0) -> Iterator[Tuple[int, ...]]:
+    """Restricted-growth sequences of length n, in lexicographic order.
 
-    Otter, *The number of trees* (1948): with r(n) the rooted-tree counts
-    of OEIS A000081, t(p) = r(p) - (sum_{i+j=p} r(i) r(j) - [p even] r(p/2)) / 2.
+    The first entry is low, and each later entry is at most one more than
+    the largest entry before it.  With low = 0 these are the set
+    partitions of n items (item j goes to block s[j]), the single block
+    first; there are B(n) of them (Bell numbers).  n = 0 gives ().
     """
-    if p < 1:
-        raise ValueError("p >= 1 required")
-    r = [0, 1]  # r[n] = rooted trees on n vertices
-    for n in range(1, p):
-        # r(n+1) = (1/n) sum_{k=1..n} (sum_{d | k} d r(d)) r(n-k+1)
-        total = sum(
-            sum(d * r[d] for d in range(1, k + 1) if k % d == 0) * r[n - k + 1]
-            for k in range(1, n + 1)
-        )
-        r.append(total // n)
-    pairs = sum(r[i] * r[p - i] for i in range(1, p))
-    if p % 2 == 0:
-        pairs -= r[p // 2]
-    return r[p] - pairs // 2
+
+    def rec(prefix: Tuple[int, ...], top: int) -> Iterator[Tuple[int, ...]]:
+        if len(prefix) == n:
+            yield prefix
+            return
+        for v in range(low, top + 2):
+            yield from rec(prefix + (v,), max(top, v))
+
+    return rec((low,), low) if n else iter([()])
 
 
 @lru_cache(maxsize=None)
 def free_trees(p: int) -> Tuple[Graph, ...]:
     """All trees on p vertices up to isomorphism, sorted by AHU encoding.
 
-    Prufer sweep, stopped at Otter's count, + AHU dedup.  Each class is
-    represented by the first sequence in lexicographic order that decodes
-    to it, so stopping once every class is seen changes no output.
+    Each class is represented by the tree of the first Prufer sequence,
+    in lexicographic order, that decodes to it.  Only the
+    restricted-growth sequences (s1 = 1, si <= 1 + max(s1..si-1)) are
+    decoded, B(p-2) of the p^(p-2): 4,140 at p = 10.  They hold every
+    class's first sequence, so the result is that of the full sweep.
+
+    Proof.  Take a labeling of a tree T whose Prufer sequence s is
+    lexicographically smallest, and suppose s is not restricted-growth.
+    Let i be the first position with a = si > b = 1 + max(s1..si-1)
+    (max of nothing is 0), and let y be the vertex labeled a.
+
+    - y is not a leaf at any step <= i.  At step i it is adjacent to the
+      removed leaf while at least 3 vertices remain, and a leaf stays a
+      leaf until it is removed.
+    - Relabel by sigma: a -> b, c -> c+1 for b <= c < a, every other
+      label fixed.  sigma keeps the order of every label but a, so at
+      each step <= i the same vertex is the smallest leaf.  Steps before
+      i record labels below b, which sigma fixes; step i records
+      sigma(a) = b < a.  That is a smaller sequence for T, a
+      contradiction.
+
+    So the first sequence of every class is restricted-growth, and the
+    sweep, being in lexicographic order too, meets each class first at
+    that same sequence.
     """
     if p < 1:
         raise ValueError("p >= 1 required")
     if p == 1:
         return (Graph(1),)
-    target = count_free_trees(p)
     reps: Dict[Tuple, Graph] = {}
-    for seq in product(range(1, p + 1), repeat=p - 2):
+    for seq in restricted_growth(p - 2, 1):
         t = prufer_to_tree(seq, p)
-        key = tree_encoding(t)
-        if key not in reps:
-            reps[key] = t
-            if len(reps) == target:
-                break
+        reps.setdefault(tree_encoding(t), t)
     return tuple(reps[k] for k in sorted(reps))
 
 

@@ -14,6 +14,7 @@ from typing import Collection, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .graph import Graph, _norm_edge, is_connected, is_tree
 from .coloring import TotalColoring
+from .families import restricted_growth
 
 
 @dataclass(frozen=True)
@@ -212,34 +213,18 @@ def realize_topcode(
         slots[x].append(2 * i)
         slots[y].append(2 * i + 1)
 
-    def partitions(items: List[int]) -> Iterator[List[List[int]]]:
-        # restricted-growth order: the single-block partition comes first
-        n = len(items)
-        rgs = [0] * n
-
-        def rec(i: int, maxb: int) -> Iterator[List[List[int]]]:
-            if i == n:
-                blocks: Dict[int, List[int]] = {}
-                for j, b in enumerate(rgs):
-                    blocks.setdefault(b, []).append(items[j])
-                yield [blocks[b] for b in sorted(blocks)]
-                return
-            for b in range(maxb + 2):
-                rgs[i] = b
-                yield from rec(i + 1, max(maxb, b))
-
-        return rec(1, 0) if n else iter([[]])
-
     def product(idx: int, slot_vertex: Dict[int, int], next_id: int) -> Iterator[Dict[int, int]]:
-        # every slot is assigned on the way down, so nothing is undone
+        # each label's slots split by a restricted-growth string, the
+        # single block first; every slot is assigned on the way down, so
+        # nothing is undone
         if idx == len(labels):
             yield slot_vertex
             return
-        for part in partitions(slots[labels[idx]]):
-            for vid, block in enumerate(part, next_id):
-                for s in block:
-                    slot_vertex[s] = vid
-            yield from product(idx + 1, slot_vertex, next_id + len(part))
+        items = slots[labels[idx]]
+        for rgs in restricted_growth(len(items)):
+            for s, b in zip(items, rgs):
+                slot_vertex[s] = next_id + b
+            yield from product(idx + 1, slot_vertex, next_id + max(rgs) + 1)
 
     for slot_vertex in product(0, {}, 1):
         ends = [(slot_vertex[2 * i], slot_vertex[2 * i + 1]) for i in range(t.q)]

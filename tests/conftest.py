@@ -27,6 +27,29 @@ def random_connected_graph(rng, p, extra_edges=0):
     return Graph(p, sorted(present))
 
 
+def count_free_trees(p):
+    """Number of trees on p vertices up to isomorphism (OEIS A000055).
+
+    Otter, *The number of trees* (1948): with r(n) the rooted-tree counts
+    of OEIS A000081, t(p) = r(p) - (sum_{i+j=p} r(i) r(j) - [p even] r(p/2)) / 2.
+    An oracle for families.free_trees.
+    """
+    if p < 1:
+        raise ValueError("p >= 1 required")
+    r = [0, 1]  # r[n] = rooted trees on n vertices
+    for n in range(1, p):
+        # r(n+1) = (1/n) sum_{k=1..n} (sum_{d | k} d r(d)) r(n-k+1)
+        total = sum(
+            sum(d * r[d] for d in range(1, k + 1) if k % d == 0) * r[n - k + 1]
+            for k in range(1, n + 1)
+        )
+        r.append(total // n)
+    pairs = sum(r[i] * r[p - i] for i in range(1, p))
+    if p % 2 == 0:
+        pairs -= r[p // 2]
+    return r[p] - pairs // 2
+
+
 def random_tree(rng, p):
     return random_connected_graph(rng, p, 0)
 

@@ -105,6 +105,26 @@ def test_c02_tree_palette_bound():
     assert time.time() - t0 < 600.0
 
 
+def test_tree_palette_within_two_of_delta_plus_one():
+    """Every tree with 2 <= p <= 10 has Delta+1 <= chi_fdt <= Delta+3.
+
+    A measured observation, not a claim of the paper: the per-p counts of
+    trees at excess 0, 1 and 2 over Delta+1 are pinned below."""
+    counts = {}
+    for p in range(2, 11):
+        excess = [0, 0, 0]
+        for t in free_trees(p):
+            dmax = max(degree_sequence(t))
+            r = chi_fdt(t, dmax + 3)
+            assert r.m is not None and r.m >= dmax + 1, (p, t.edges())
+            excess[r.m - dmax - 1] += 1
+        counts[p] = tuple(excess)
+    assert counts == {
+        2: (0, 1, 0), 3: (0, 1, 0), 4: (0, 1, 1), 5: (1, 1, 1), 6: (2, 2, 2),
+        7: (4, 3, 4), 8: (7, 9, 7), 9: (15, 18, 14), 10: (34, 40, 32),
+    }
+
+
 def test_c03_bipartite_palette_bound():
     """Every connected bipartite graph with p <= 6: exact minimum <= 3*Delta."""
     t0 = time.time()

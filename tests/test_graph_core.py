@@ -32,7 +32,6 @@ from iceflower.families import (
     complete_bipartite_graph,
     complete_graph,
     connected_classes,
-    count_free_trees,
     cycle_graph,
     free_trees,
     graph_classes,
@@ -40,10 +39,11 @@ from iceflower.families import (
     kuratowski_planar,
     path_graph,
     prufer_to_tree,
+    restricted_growth,
     star_graph,
     tree_encoding,
 )
-from tests.conftest import random_connected_graph
+from tests.conftest import count_free_trees, random_connected_graph
 
 
 def test_graph_validation():
@@ -257,6 +257,25 @@ def test_count_free_trees_matches_a000055():
     assert [count_free_trees(p) for p in range(1, 13)] == [
         1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551,
     ]
+    assert [len(free_trees(p)) for p in range(1, 11)] == [
+        count_free_trees(p) for p in range(1, 11)
+    ]
+
+
+def test_restricted_growth_is_the_lex_ordered_filter_of_all_sequences():
+    assert list(restricted_growth(0)) == [()] == list(restricted_growth(0, 1))
+    for n in range(1, 7):
+        for low in (0, 1):
+            want = [
+                s
+                for s in product(range(low, low + n), repeat=n)
+                if all(s[i] <= 1 + max(s[:i], default=low - 1) for i in range(n))
+            ]
+            assert list(restricted_growth(n, low)) == want
+    # Bell numbers B(1..8)
+    assert [sum(1 for _ in restricted_growth(n)) for n in range(1, 9)] == [
+        1, 2, 5, 15, 52, 203, 877, 4140,
+    ]
 
 
 def _free_trees_full_sweep(p):
@@ -272,6 +291,8 @@ def _free_trees_full_sweep(p):
 
 @pytest.mark.parametrize("p", range(1, 8))
 def test_free_trees_stopped_sweep_equals_full_sweep(p):
+    # free_trees decodes only the restricted-growth sequences; the full
+    # sweep decodes every one
     got = free_trees(p)
     want = _free_trees_full_sweep(p)
     assert [(t.p, t.edges()) for t in got] == [(t.p, t.edges()) for t in want]

@@ -9,15 +9,16 @@ from iceflower.graph import Graph, are_isomorphic, is_tree
 from iceflower.families import (
     complete_graph,
     connected_classes,
-    count_free_trees,
+    free_trees,
     path_graph,
     star_graph,
-    tree_encoding,
 )
 from iceflower.coloring import TotalColoring
 from iceflower.topcode import (
     TopcodeMatrix,
+    _assemble,
     _check_number_string,
+    _color,
     _readings,
     _row_steps,
     _tree_rows,
@@ -146,6 +147,69 @@ def test_identify_mode():
             TopcodeMatrix(tuple(range(1, 8)), tuple(range(1, 8)), tuple(range(11, 18))),
             identify=True,
         )
+
+
+def _reference_identify(t):
+    """realize_topcode(t, identify=True) with its own nested enumeration:
+    each label's slots split into set partitions in restricted-growth
+    order, labels taken in ascending order, the first label outermost."""
+    xy = list(zip(t.X, t.Y))
+    labels = sorted({*t.X, *t.Y})
+    slots = {l: [] for l in labels}
+    for i, (x, y) in enumerate(xy):
+        slots[x].append(2 * i)
+        slots[y].append(2 * i + 1)
+
+    def partitions(items):
+        n = len(items)
+        rgs = [0] * n
+
+        def rec(i, maxb):
+            if i == n:
+                blocks = {}
+                for j, b in enumerate(rgs):
+                    blocks.setdefault(b, []).append(items[j])
+                yield [blocks[b] for b in sorted(blocks)]
+                return
+            for b in range(maxb + 2):
+                rgs[i] = b
+                yield from rec(i + 1, max(maxb, b))
+
+        return rec(1, 0)
+
+    def product(idx, slot_vertex, next_id):
+        if idx == len(labels):
+            yield slot_vertex
+            return
+        for part in partitions(slots[labels[idx]]):
+            for vid, block in enumerate(part, next_id):
+                for s in block:
+                    slot_vertex[s] = vid
+            yield from product(idx + 1, slot_vertex, next_id + len(part))
+
+    for slot_vertex in product(0, {}, 1):
+        ends = [(slot_vertex[2 * i], slot_vertex[2 * i + 1]) for i in range(t.q)]
+        frame = _assemble(xy, ends, max(slot_vertex.values()))
+        if frame is not None:
+            return frame[0], _color(frame, t.E)
+    return None
+
+
+def test_identify_mode_equals_the_nested_partition_sweep():
+    rng = random.Random(16)
+    outcomes = set()
+    for _ in range(400):
+        q = rng.randrange(1, 5)
+        labels = rng.randrange(1, 4)
+        m = TopcodeMatrix(
+            tuple(rng.randrange(1, labels + 1) for _ in range(q)),
+            tuple(rng.randrange(1, 6) for _ in range(q)),
+            tuple(rng.randrange(1, labels + 1) for _ in range(q)),
+        )
+        got = realize_topcode(m, identify=True)
+        assert got == _reference_identify(m), m
+        outcomes.add(None if got is None else got[0].p)
+    assert outcomes == {None, 2, 3, 4, 5}
 
 
 def test_solve_dnsp_trivial_and_empty():
@@ -547,19 +611,8 @@ def _reference_topological_vector(t):
 
 
 def test_topological_vector_equals_the_former_spine_walk():
-    # every free tree with p <= 10, grown by one leaf at a time (the
-    # Prufer sweep of free_trees takes a minute at p = 10)
-    trees = [Graph(1)]
-    level = list(trees)
-    for p in range(2, 11):
-        grown = {}
-        for t in level:
-            for v in t.vertices():
-                g = Graph(p, t.edges() + [(v, p)])
-                grown.setdefault(tree_encoding(g), g)
-        assert len(grown) == count_free_trees(p)
-        level = [grown[k] for k in sorted(grown)]
-        trees.extend(level)
+    # every free tree with p <= 10
+    trees = [t for p in range(1, 11) for t in free_trees(p)]
     rng = random.Random(29)
     inputs = []
     for t in trees:
