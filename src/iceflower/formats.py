@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .graph import Graph, _norm_edge
 from .coloring import TotalColoring
-from .system import ColoredIceFlowerSystem, IceFlowerSystem, Star, make_star
+from .system import ColoredIceFlowerSystem, IceFlowerSystem, make_star
 from .lattice import CoincideScript
 from .topcode import TopcodeMatrix, _is_number_string
 
@@ -116,7 +116,7 @@ def read_system(text: str) -> ColoredIceFlowerSystem:
     except ValueError:
         raise FormatError("system header: bad count or constant")
     pos = 1
-    stars: List[Star] = []
+    sizes: List[int] = []
     colorings: List[TotalColoring] = []
     for _ in range(n):
         if pos >= len(lines):
@@ -125,14 +125,14 @@ def read_system(text: str) -> ColoredIceFlowerSystem:
         doc = "\n".join(lines[pos : pos + 2 + q])
         g, f = read_colored(doc)
         if q != p - 1 or g.degree(1) != p - 1:
-            raise FormatError("system: star %d is not a canonical star" % (len(stars) + 1))
-        stars.append(make_star(p - 1))
+            raise FormatError("system: star %d is not a canonical star" % (len(sizes) + 1))
+        sizes.append(p - 1)
         colorings.append(f)
         pos += 2 + q
     if pos != len(lines):
         raise FormatError("system: trailing lines after %d stars" % n)
     try:
-        return ColoredIceFlowerSystem(stars, colorings, fdt_constant=declared_k)
+        return ColoredIceFlowerSystem([make_star(m) for m in sizes], colorings, fdt_constant=declared_k)
     except ValueError as e:
         raise FormatError("system: %s" % e)
 

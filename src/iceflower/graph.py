@@ -18,43 +18,38 @@ def _norm_edge(u: int, v: int) -> Edge:
 class Graph:
     """Simple undirected graph on the vertex set {1, ..., p}."""
 
-    __slots__ = ("p", "_edges", "_adj")
+    __slots__ = ("p", "q", "_adj")
 
     def __init__(self, p: int, edges: Iterable[Tuple[int, int]] = ()):
         if p < 1:
             raise ValueError("graph needs at least one vertex, got p=%d" % p)
         self.p = p
         adj: List[set] = [set() for _ in range(p + 1)]
-        es = set()
+        q = 0
         for u, v in edges:
             if not (1 <= u <= p and 1 <= v <= p):
                 raise ValueError("edge (%d,%d) out of range 1..%d" % (u, v, p))
             if u == v:
                 raise ValueError("loop at vertex %d not allowed" % u)
-            e = _norm_edge(u, v)
-            if e in es:
-                raise ValueError("duplicate edge (%d,%d)" % e)
-            es.add(e)
+            if v in adj[u]:
+                raise ValueError("duplicate edge (%d,%d)" % _norm_edge(u, v))
             adj[u].add(v)
             adj[v].add(u)
-        self._edges = es
+            q += 1
+        self.q = q
         self._adj = adj
 
     # -- basic accessors ---------------------------------------------------
-
-    @property
-    def q(self) -> int:
-        return len(self._edges)
 
     def vertices(self) -> range:
         return range(1, self.p + 1)
 
     def edges(self) -> List[Edge]:
         """Edge list sorted ascending by (u, v)."""
-        return sorted(self._edges)
+        return sorted([(u, v) for u, a in enumerate(self._adj) for v in a if u < v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self._edges
+        return 1 <= u <= self.p and v in self._adj[u]
 
     def neighbors(self, v: int) -> List[int]:
         return sorted(self._adj[v])
@@ -69,11 +64,11 @@ class Graph:
         return (
             isinstance(other, Graph)
             and self.p == other.p
-            and self._edges == other._edges
+            and self._adj == other._adj
         )
 
     def __hash__(self):
-        return hash((self.p, frozenset(self._edges)))
+        return hash((self.p, frozenset(self.edges())))
 
     def __repr__(self):
         return "Graph(p=%d, q=%d)" % (self.p, self.q)
@@ -82,7 +77,7 @@ class Graph:
         """Apply a vertex relabeling.  `mapping` must be injective on V."""
         if new_p is None:
             new_p = self.p
-        return Graph(new_p, [(mapping[u], mapping[v]) for u, v in self._edges])
+        return Graph(new_p, [(mapping[u], mapping[v]) for u, v in self.edges()])
 
 
 # -- degree sequences ------------------------------------------------------

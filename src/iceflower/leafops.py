@@ -112,7 +112,7 @@ class Surgery:
         self.theta = theta
         if theta is not None:
             vc, ec = theta.vertex_colors, theta.edge_colors
-            if any(v not in vc for v in g.vertices()) or any(e not in ec for e in g._edges):
+            if any(v not in vc for v in g.vertices()) or any(e not in ec for e in g.edges()):
                 raise ValueError("coloring does not cover the graph")
             self.ec = dict(ec)
 

@@ -11,7 +11,7 @@ so the coupling edge colors agree automatically for every star pair.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graph import Graph, is_delta_saturated
@@ -22,9 +22,14 @@ from .leafops import LeafEdge, Surgery, leaf_coincide_across, leaf_edges
 
 @dataclass(frozen=True)
 class Star:
-    """K_{1,m} in canonical layout: center 1, leaves 2..m+1."""
+    """K_{1,m} in canonical layout: center 1, leaves 2..m+1.  Systems
+    exclude single-leaf stars, so m < 2 is rejected here, once."""
 
     m: int
+
+    def __post_init__(self):
+        if self.m < 2:
+            raise ValueError("stars in a system need m >= 2, got %d" % self.m)
 
     @property
     def graph(self) -> Graph:
@@ -40,9 +45,7 @@ class Star:
 
 
 def make_star(m: int) -> Star:
-    """A star with m >= 2 leaves (single-leaf stars are excluded here)."""
-    if m < 2:
-        raise ValueError("stars in a system need m >= 2, got %d" % m)
+    """A star with m >= 2 leaves; Star itself rejects smaller m."""
     return Star(m)
 
 
@@ -65,9 +68,6 @@ class IceFlowerSystem:
     def __post_init__(self):
         if not self.stars:
             raise ValueError("a system needs at least one star")
-        for s in self.stars:
-            if s.m < 2:
-                raise ValueError("system stars need m >= 2")
 
     @property
     def n(self) -> int:
@@ -78,42 +78,30 @@ class IceFlowerSystem:
 
 
 @dataclass
-class ColoredIceFlowerSystem:
+class ColoredIceFlowerSystem(IceFlowerSystem):
     """Stars plus one proper total coloring per star.
 
     fdt_constant, when present, promises that every edge of every star
     has weight exactly that constant (validated on construction).
     """
 
-    stars: List[Star]
     colorings: List[TotalColoring]
     fdt_constant: Optional[int] = None
-    uniform: bool = field(init=False)
 
     def __post_init__(self):
-        if not self.stars:
-            raise ValueError("a system needs at least one star")
+        super().__post_init__()
         if len(self.stars) != len(self.colorings):
             raise ValueError("one coloring per star required")
         for s, f in zip(self.stars, self.colorings):
-            if s.m < 2:
-                raise ValueError("system stars need m >= 2")
-            if not is_proper_total(s.graph, f):
+            g = s.graph
+            if not is_proper_total(g, f):
                 raise ValueError("star coloring is not proper total")
-            if self.fdt_constant is not None:
-                rep = bfdt(s.graph, f)
-                if rep.k != self.fdt_constant:
-                    raise ValueError(
-                        "star edge weights do not equal the declared constant"
-                    )
-        self.uniform = len({s.m for s in self.stars}) == 1
+            if self.fdt_constant is not None and bfdt(g, f).k != self.fdt_constant:
+                raise ValueError("star edge weights do not equal the declared constant")
 
     @property
-    def n(self) -> int:
-        return len(self.stars)
-
-    def sizes(self) -> Tuple[int, ...]:
-        return tuple(s.m for s in self.stars)
+    def uniform(self) -> bool:
+        return len({s.m for s in self.stars}) == 1
 
     def backbone(self) -> IceFlowerSystem:
         return IceFlowerSystem(list(self.stars))
@@ -205,11 +193,8 @@ def build_uniform_fdt_system(n: int, k: int) -> ColoredIceFlowerSystem:
                 )
             vc[leaf_id] = l
             ec[(1, leaf_id)] = c
-        f = TotalColoring(palette, vc, ec)
-        assert is_proper_total(star.graph, f)
-        assert bfdt(star.graph, f).k == k
         stars.append(star)
-        colorings.append(f)
+        colorings.append(TotalColoring(palette, vc, ec))
     return ColoredIceFlowerSystem(stars, colorings, fdt_constant=k)
 
 

@@ -142,27 +142,24 @@ def _assemble(
     """The uncolored half of a realization, shared by realize_topcode and
     solve_dnsp: the graph on 1..p whose column i joins the vertices
     ends[i], its edges in column order and its vertex colors (the X and Y
-    labels), or None on loop/duplicate/disconnect.
+    labels), or None on loop/duplicate (Graph rejects both) or disconnect.
 
     It depends on the X and Y rows only, so solve_dnsp builds it once for
     each (X, Y) pair and hands the same Graph to every middle row E read
     with it; a Graph is never changed after it is built.  _color adds
     each E's edge colors.
     """
-    edges: List[Tuple[int, int]] = []
-    vc: Dict[int, int] = {}
-    for (x, y), (u, v) in zip(xy, ends):
-        if u == v:
-            return None
-        uv = _norm_edge(u, v)
-        if uv in edges:
-            return None
-        edges.append(uv)
-        vc[u] = x
-        vc[v] = y
-    g = Graph(p, edges)
+    edges = [_norm_edge(u, v) for u, v in ends]
+    try:
+        g = Graph(p, edges)
+    except ValueError:
+        return None
     if not is_connected(g):
         return None
+    vc: Dict[int, int] = {}
+    for (x, y), (u, v) in zip(xy, ends):
+        vc[u] = x
+        vc[v] = y
     return g, edges, vc
 
 

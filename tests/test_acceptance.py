@@ -141,6 +141,30 @@ def test_c03_bipartite_palette_bound():
     assert time.time() - t0 < 600.0
 
 
+def test_bipartite_palette_excess_over_delta_plus_one():
+    """Every connected bipartite graph with 2 <= p <= 7 has
+    Delta+1 <= chi_fdt <= 3*Delta, 71 classes in all.
+
+    A measured observation, not a claim of the paper: the per-p counts of
+    classes at excess 0, 1, 2 and 3 over Delta+1 are pinned below."""
+    counts = {}
+    for p in range(2, 8):
+        excess = [0, 0, 0, 0]
+        for g in connected_classes(p):
+            if find_proper_vertex_coloring(g, 2) is None:
+                continue
+            dmax = max(degree_sequence(g))
+            r = chi_fdt(g, 3 * dmax)
+            assert r.m is not None and dmax + 1 <= r.m <= 3 * dmax, (p, g.edges())
+            excess[r.m - dmax - 1] += 1
+        counts[p] = tuple(excess)
+    assert sum(map(sum, counts.values())) == 71
+    assert counts == {
+        2: (0, 1, 0, 0), 3: (0, 1, 0, 0), 4: (0, 1, 2, 0), 5: (1, 1, 3, 0),
+        6: (2, 4, 9, 2), 7: (5, 15, 22, 2),
+    }
+
+
 def test_c04_spanning_enumeration_counts():
     """Labeled spanning trees of K_m number m^(m-2) for m = 2..7."""
     t0 = time.time()

@@ -240,6 +240,14 @@ def test_iceflower_build_and_strong_check(tmp_path):
     assert run(["iceflower", "build", "4", "9"]).exit_code == 2
 
 
+def test_strong_check_rejects_a_single_leaf_star_as_format_error(tmp_path):
+    edge = write_colored(Graph(2, [(1, 2)]), TotalColoring(3, {1: 1, 2: 2}, {(1, 2): 3}))
+    sysfile = _file(tmp_path, "k2.system", "system 1 1 -\n" + edge)
+    r = run(["iceflower", "strong-check", sysfile])
+    assert r.exit_code == 2 and r.payload == ""
+    assert r.note == "format error: system: stars in a system need m >= 2, got 1"
+
+
 def test_saturate(tmp_path):
     sysfile = _file(
         tmp_path, "s3.system", write_system(build_uniform_fdt_system(3, 0))

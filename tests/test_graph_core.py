@@ -49,12 +49,45 @@ from tests.conftest import count_free_trees, random_connected_graph
 def test_graph_validation():
     g = Graph(3, [(1, 2), (2, 3)])
     assert g.p == 3 and g.q == 2
-    with pytest.raises(ValueError):
-        Graph(3, [(1, 1)])  # loop
-    with pytest.raises(ValueError):
-        Graph(3, [(1, 2), (2, 1)])  # duplicate
-    with pytest.raises(ValueError):
-        Graph(3, [(1, 4)])  # out of range
+    for p, edges, msg in [
+        (0, [], "graph needs at least one vertex, got p=0"),
+        (-2, [], "graph needs at least one vertex, got p=-2"),
+        (3, [(1, 4)], "edge (1,4) out of range 1..3"),
+        (3, [(0, 2)], "edge (0,2) out of range 1..3"),
+        (3, [(2, 2)], "loop at vertex 2 not allowed"),
+        (3, [(1, 2), (2, 1)], "duplicate edge (1,2)"),
+        (3, [(3, 1), (1, 3)], "duplicate edge (1,3)"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            Graph(p, edges)
+        assert str(exc.value) == msg
+
+
+def test_has_edge_outside_vertex_range_and_on_non_edges():
+    g = Graph(4, [(1, 2), (2, 3), (3, 4)])
+    assert g.has_edge(1, 2) and g.has_edge(2, 1) and g.has_edge(4, 3)
+    assert not g.has_edge(1, 3) and not g.has_edge(1, 4)
+    for bad in (0, -1, g.p + 1):
+        assert not g.has_edge(bad, 1) and not g.has_edge(1, bad)
+        assert not g.has_edge(bad, g.p) and not g.has_edge(g.p, bad)
+
+
+def test_edges_q_equality_and_hash_ignore_input_order():
+    edges = [(1, 2), (1, 4), (2, 3), (3, 5), (4, 5), (2, 5)]
+    rng = random.Random(7)
+    graphs = []
+    for _ in range(10):
+        shuffled = [e if rng.random() < 0.5 else e[::-1] for e in edges]
+        rng.shuffle(shuffled)
+        graphs.append(Graph(5, shuffled))
+    for g in graphs:
+        assert g.edges() == sorted(edges) and g.q == len(edges)
+        assert g == graphs[0] and hash(g) == hash(graphs[0])
+    assert len(set(graphs)) == 1
+    wider = Graph(6, edges)
+    assert wider.edges() == graphs[0].edges() and wider != graphs[0]
+    assert Graph(5, edges[:-1]) != graphs[0]
+    assert Graph(1).edges() == [] and Graph(1).q == 0
 
 
 def test_edges_sorted_and_neighbors():

@@ -30,6 +30,10 @@ def test_star_layout():
     assert are_isomorphic(s.graph, star_graph(3))
     with pytest.raises(ValueError):
         make_star(1)
+    for m in (1, 0, -1):
+        with pytest.raises(ValueError) as exc:
+            Star(m)
+        assert str(exc.value) == "stars in a system need m >= 2, got %d" % m
 
 
 def test_star_coincide_shape():
@@ -61,6 +65,21 @@ def test_colored_system_checks_declared_constant():
     assert s.fdt_constant == 0
     with pytest.raises(ValueError):
         ColoredIceFlowerSystem([star], [f], fdt_constant=2)
+
+
+def test_colored_system_is_a_system():
+    f2 = TotalColoring(5, {1: 1, 2: 2, 3: 3}, {(1, 2): 3, (1, 3): 4})
+    f3 = TotalColoring(7, {1: 1, 2: 2, 3: 3, 4: 4}, {(1, 2): 5, (1, 3): 6, (1, 4): 7})
+    s = ColoredIceFlowerSystem([make_star(2), make_star(3)], [f2, f3])
+    assert isinstance(s, IceFlowerSystem)
+    assert s.n == 2 and s.sizes() == (2, 3) and not s.uniform
+    assert s.backbone() == IceFlowerSystem([make_star(2), make_star(3)])
+    same = ColoredIceFlowerSystem([make_star(2), make_star(2)], [f2, f2])
+    assert same.n == 2 and same.sizes() == (2, 2) and same.uniform
+    with pytest.raises(ValueError):
+        ColoredIceFlowerSystem([], [])
+    with pytest.raises(ValueError):
+        ColoredIceFlowerSystem([make_star(2)], [f2, f2])
 
 
 def test_uniform_construction_shape():
