@@ -17,7 +17,7 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .graph import Graph, _norm_edge, find_proper_vertex_coloring
+from .graph import Graph, _norm_edge
 
 EdgeKey = Tuple[int, int]
 
@@ -56,23 +56,22 @@ class TotalColoring:
 
 def is_proper_total(g: Graph, tc: TotalColoring) -> bool:
     """Proper total coloring check against g (domains must match exactly)."""
-    if set(tc.vertex_colors) != set(g.vertices()):
+    vc, ec = tc.vertex_colors, tc.edge_colors
+    if set(vc) != set(g.vertices()) or len(ec) != g.q:
         return False
-    if set(tc.edge_colors) != set(g.edges()):
+    # q distinct keys, each an edge of g, are exactly g's edge set
+    if not all(u < v and g.has_edge(u, v) for u, v in ec):
         return False
-    vals = list(tc.vertex_colors.values()) + list(tc.edge_colors.values())
-    if any(not 1 <= c <= tc.palette for c in vals):
+    if any(not 1 <= c <= tc.palette for c in (*vc.values(), *ec.values())):
         return False
-    for u, v in g.edges():
-        fe = tc.edge(u, v)
-        if tc.vertex(u) == tc.vertex(v):
-            return False
-        if fe == tc.vertex(u) or fe == tc.vertex(v):
-            return False
-    for v in g.vertices():
-        inc = [tc.edge(v, w) for w in g.neighbors(v)]
-        if len(inc) != len(set(inc)):
-            return False
+    for u in g.vertices():
+        cu = vc[u]
+        seen = set()
+        for w in g._adj[u]:
+            e = ec[(u, w) if u < w else (w, u)]
+            if vc[w] == cu or e == cu or e in seen:
+                return False
+            seen.add(e)
     return True
 
 
@@ -96,7 +95,7 @@ def bfdt(g: Graph, tc: TotalColoring) -> FdtReport:
     """Weight spread max - min over all edges.  Needs at least one edge."""
     if g.q == 0:
         raise ValueError("weight spread is undefined without edges")
-    w = {_norm_edge(u, v): edge_weight(tc, u, v) for u, v in g.edges()}
+    w = {(u, v): edge_weight(tc, u, v) for u, v in g.edges()}
     wmin = min(w.values())
     wmax = max(w.values())
     return FdtReport(w, wmin, wmax, wmax - wmin, wmin if wmax == wmin else None)
@@ -158,38 +157,31 @@ def _candidate_colors(
     return cand
 
 
-def _reach(M: int, k: int) -> List[int]:
-    """reach[c]: bitmask of the edge colors a vertex of color c can carry
-    at common weight k, for c in 1..M (reach[0] is 0).
+@functools.lru_cache(maxsize=128)
+def _tables(M: int, k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """(reach, fit) for palette M and common weight k, built once per pair.
 
-    e is in reach[c] when e = c' + c + k, or e = c' + c - k with k != 0
-    and c != k, for some c' in 1..M other than c, and e is in 1..M and
-    differs from c.  The minus color equals c' itself when c == k.
+    reach[c], for c in 1..M, is the bitmask of the edge colors a vertex of
+    color c can carry at common weight k (reach[0] is 0): e is in reach[c]
+    when e = c' + c + k, or e = c' + c - k with k != 0 and c != k, for
+    some c' in 1..M other than c, and e is in 1..M and differs from c.
+    The minus color equals c' itself when c == k.  fit[d], for d in 0..M,
+    is the bitmask of the colors c whose reach[c] holds at least d edge
+    colors.
+
+    Both depend on (M, k) alone, so every graph and every palette sweep
+    shares them.  The cache is bounded because one pair is O(M^2) bits,
+    and an unbounded cache would keep every k of every palette searched.
     """
     full = (1 << (M + 1)) - 2
     reach = [0] * (M + 1)
+    fit = [0] * (M + 1)
     for c in range(1, M + 1):
         others = full & ~(1 << c)
         r = others << (c + k)
         if k and c != k:
             r |= others << (c - k) if c > k else others >> (k - c)
         reach[c] = r & others
-    return reach
-
-
-@functools.lru_cache(maxsize=128)
-def _tables(M: int, k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """(reach, fit) for palette M and common weight k, built once per pair.
-
-    reach is _reach(M, k); fit[d], for d in 0..M, is the bitmask of the
-    colors c whose reach[c] holds at least d edge colors.  Both depend on
-    (M, k) alone, so every graph and every palette sweep shares them.
-    The cache is bounded because one pair is O(M^2) bits, and an
-    unbounded cache would keep every k of every palette searched.
-    """
-    reach = _reach(M, k)
-    fit = [0] * (M + 1)
-    for c in range(1, M + 1):
         for d in range(reach[c].bit_count() + 1):
             fit[d] |= 1 << c
     return tuple(reach), tuple(fit)
@@ -209,17 +201,14 @@ class _Plan(NamedTuple):
     need: List[List[Tuple[int, int]]]
 
 
-def _plan(g: Graph) -> Optional[_Plan]:
-    """Lay out g's search once for every palette: None for an edgeless
-    graph, which needs no search.  Raises ValueError when p + q exceeds
-    MAX_SEARCH_ELEMENTS."""
+def _plan(g: Graph) -> _Plan:
+    """Lay out g's search once for every palette.  Raises ValueError when
+    p + q exceeds MAX_SEARCH_ELEMENTS."""
     if g.p + g.q > MAX_SEARCH_ELEMENTS:
         raise ValueError(
             "coloring search takes graphs with p + q <= %d, got p + q = %d"
             % (MAX_SEARCH_ELEMENTS, g.p + g.q)
         )
-    if g.q == 0:
-        return None
     order = _search_order(g)
     p = g.p
     pos = {v: i for i, v in enumerate(order)}
@@ -259,13 +248,14 @@ def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
     if it differs from every earlier neighbor j and the edge color
     c + f(j) - k or c + f(j) + k is still free at j, so the edge step
     only has to keep the new edges distinct.  Two capacity checks read
-    the table _reach(M, k) of edge colors each vertex color can carry:
+    the table _tables(M, k) of edge colors each vertex color can carry:
     a vertex of degree d keeps only the colors that reach at least d
     edge colors, and once a vertex and its edges are placed, each earlier
     neighbor must still reach, among its unused edge colors, as many as
     it has neighbors left to place.  Pendant twins are forced into
     increasing edge colors to kill the factorial blowup at high-degree
-    centers.
+    centers.  An edgeless graph takes the same search: at k = 0 every
+    vertex gets color 1.
 
     The mask and both checks drop only subtrees that hold no completion,
     so the nodes that remain are visited in the same order as when every
@@ -284,15 +274,9 @@ def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
     return _search(g, _plan(g), palette)
 
 
-def _search(g: Graph, plan: Optional[_Plan], M: int) -> Optional[TotalColoring]:
-    """find_fdt_coloring(g, M) on the layout plan = _plan(g)."""
-    if M < 1:
-        return None
-    if plan is None:
-        vc = find_proper_vertex_coloring(g, M)
-        if vc is None:
-            return None
-        return TotalColoring(M, vc, {})
+def _search(g: Graph, plan: _Plan, M: int) -> Optional[TotalColoring]:
+    """find_fdt_coloring(g, M) on the layout plan = _plan(g), with the
+    tables _tables(M, k) for each k in turn."""
     if M < g.max_degree() + 1:
         return None
 
@@ -304,10 +288,9 @@ def _search(g: Graph, plan: Optional[_Plan], M: int) -> Optional[TotalColoring]:
     echoice = [[0] * len(back) for back in earlier]
     # edge colors still free at each earlier neighbor, for the vertex being placed
     free = [[0] * len(back) for back in earlier]
-    pend_ecol = [0] * p  # pendant positions: color of their single edge
     full = (1 << (M + 1)) - 2  # bits 1..M
     k = 0  # the common weight being searched
-    reach: Tuple[int, ...] = ()  # _reach(M, k)
+    reach: Tuple[int, ...] = ()  # reach[c]: the edge colors color c can carry
     fit: Tuple[int, ...] = ()  # fit[d]: the colors c with at least d colors in reach[c]
 
     def capacity_left(i: int) -> bool:
@@ -325,7 +308,7 @@ def _search(g: Graph, plan: Optional[_Plan], M: int) -> Optional[TotalColoring]:
         if is_pendant[i]:
             j = back[0]
             cj = vcol[j]
-            lo = pend_ecol[prev_sibling[i]] + 1 if prev_sibling[i] >= 0 else 1
+            lo = echoice[prev_sibling[i]][0] + 1 if prev_sibling[i] >= 0 else 1
             for e in range(lo, M + 1):
                 bit = 1 << e
                 if e == cj or emask[j] & bit:
@@ -336,7 +319,6 @@ def _search(g: Graph, plan: Optional[_Plan], M: int) -> Optional[TotalColoring]:
                     vcol[i] = l
                     emask[j] |= bit
                     emask[i] = bit
-                    pend_ecol[i] = e
                     echoice[i][0] = e
                     if capacity_left(i) and place(i + 1):
                         return True
@@ -395,8 +377,7 @@ def _search(g: Graph, plan: Optional[_Plan], M: int) -> Optional[TotalColoring]:
                     ec[_norm_edge(order[i], order[j])] = e
             tc = TotalColoring(M, vc, ec)
             assert is_proper_total(g, tc)
-            rep = bfdt(g, tc)
-            assert rep.bfdt == 0 and rep.k == k
+            assert g.q == 0 or bfdt(g, tc).k == k
             return tc
     return None
 

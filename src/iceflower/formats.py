@@ -74,6 +74,8 @@ def read_colored(text: str) -> Tuple[Graph, TotalColoring]:
     if not lines:
         raise FormatError("empty colored document")
     p, q, palette = _int_fields(lines[0], 3, "colored header")
+    if q < 0:
+        raise FormatError("colored header: negative edge count %d" % q)
     if len(lines) != 2 + q:
         raise FormatError("colored: expected %d lines after header" % (1 + q))
     vcolors = _int_fields(lines[1], p, "vertex colors")
@@ -132,9 +134,13 @@ def read_system(text: str) -> ColoredIceFlowerSystem:
     if pos != len(lines):
         raise FormatError("system: trailing lines after %d stars" % n)
     try:
-        return ColoredIceFlowerSystem([make_star(m) for m in sizes], colorings, fdt_constant=declared_k)
+        s = ColoredIceFlowerSystem([make_star(m) for m in sizes], colorings, fdt_constant=declared_k)
     except ValueError as e:
         raise FormatError("system: %s" % e)
+    uniform = "1" if s.uniform else "0"
+    if head[2] != uniform:
+        raise FormatError("system header: uniform flag must be %s for these stars, got %r" % (uniform, head[2]))
+    return s
 
 
 # -- script documents ------------------------------------------------------

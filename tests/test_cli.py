@@ -441,6 +441,14 @@ _TWO_STAR_REPLAY = recompose_colored(CoincideScript(_S4.backbone(), (1, 1, 0, 0)
             ["coloring", "chi-fdt", "{a}", "--max-colors", "6"], {"a": write_graph(path_graph(900))},
             id="chi-fdt-above-search-size-limit",
         ),
+        pytest.param(
+            ["coloring", "verify", "{a}"], {"a": "3 -1 5\n"},
+            id="verify-negative-edge-count",
+        ),
+        pytest.param(
+            ["iceflower", "strong-check", "{a}"], {"a": "system 1 1 -\n3 -1 5\n"},
+            id="strong-check-star-negative-edge-count",
+        ),
     ],
 )
 def test_rejected_input_exits_2_with_one_line_note(tmp_path, args, files):

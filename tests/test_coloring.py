@@ -18,7 +18,6 @@ from iceflower.coloring import (
     ChiFdtResult,
     TotalColoring,
     _candidate_colors,
-    _reach,
     _search_order,
     _tables,
     bfdt,
@@ -178,6 +177,66 @@ def test_random_properness_checker_agreement(rng):
         assert not is_proper_total(g, broken)
 
 
+def set_based_is_proper_total(g, tc):
+    """is_proper_total as it was before its one-pass walk: domains compared
+    as sets, then each edge and each vertex's incident edges checked apart.
+    Oracle for the one-pass check."""
+    if set(tc.vertex_colors) != set(g.vertices()):
+        return False
+    if set(tc.edge_colors) != set(g.edges()):
+        return False
+    vals = list(tc.vertex_colors.values()) + list(tc.edge_colors.values())
+    if any(not 1 <= c <= tc.palette for c in vals):
+        return False
+    for u, v in g.edges():
+        fe = tc.edge(u, v)
+        if tc.vertex(u) == tc.vertex(v):
+            return False
+        if fe == tc.vertex(u) or fe == tc.vertex(v):
+            return False
+    for v in g.vertices():
+        inc = [tc.edge(v, w) for w in g.neighbors(v)]
+        if len(inc) != len(set(inc)):
+            return False
+    return True
+
+
+def _one_defect_of_each_kind(rng, g, f):
+    """(kind, vertex colors, edge colors): f with one defect of each kind."""
+    vc, ec = f.vertex_colors, f.edge_colors
+    u, v = rng.choice(g.edges())
+    hub = rng.choice([x for x in g.vertices() if g.degree(x) >= 2])
+    a, b = (_norm_edge(hub, w) for w in rng.sample(g.neighbors(hub), 2))
+    yield "vertex clash", {**vc, v: vc[u]}, ec
+    yield "edge equals an end", vc, {**ec, (u, v): vc[rng.choice((u, v))]}
+    yield "incident edges equal", vc, {**ec, b: ec[a]}
+    yield "color 0", {**vc, rng.choice(g.vertices()): 0}, ec
+    rest = {e: c for e, c in ec.items() if e != (u, v)}
+    yield "missing edge key", vc, rest
+    yield "extra vertex key", {**vc, g.p + 1: 1}, ec
+    non_edges = [e for e in itertools.combinations(g.vertices(), 2) if not g.has_edge(*e)]
+    if non_edges:
+        yield "non-edge key", vc, {**rest, rng.choice(non_edges): ec[(u, v)]}
+
+
+def test_one_pass_properness_agrees_with_the_set_based_check():
+    rng = random.Random(5)
+    for _ in range(60):
+        p = rng.randrange(3, 9)
+        g = random_connected_graph(rng, p, rng.randrange(0, p))
+        f = greedy_proper_total(g)
+        assert is_proper_total(g, f) and set_based_is_proper_total(g, f)
+        for kind, vc, ec in _one_defect_of_each_kind(rng, g, f):
+            bad = TotalColoring(f.palette, vc, ec)
+            assert not set_based_is_proper_total(g, bad), kind
+            assert not is_proper_total(g, bad), (kind, g.edges())
+    # the same number of edge keys, one of them not an edge of the path 1-2-3
+    path = path_graph(3)
+    swapped = TotalColoring(5, {1: 1, 2: 2, 3: 1}, {(1, 2): 3, (1, 3): 4})
+    assert not set_based_is_proper_total(path, swapped)
+    assert not is_proper_total(path, swapped)
+
+
 def reference_find_fdt_coloring(g, palette):
     """The solver as it was before candidate-color masks: every vertex tries
     each color 1..M, and each edge checks its range, its end colors and its
@@ -329,6 +388,26 @@ def test_masked_search_returns_the_reference_witness_at_every_palette():
                 assert got.edge_colors == want.edge_colors, (g.edges(), M)
 
 
+def _coloring_fields(f):
+    if f is None:
+        return None
+    return (f.palette, list(f.vertex_colors.items()), list(f.edge_colors.items()))
+
+
+def test_edgeless_graphs_take_the_one_search():
+    for p in range(1, 7):
+        g = Graph(p, [])
+        for M in range(-1, 4):
+            want = reference_find_fdt_coloring(g, M)
+            assert _coloring_fields(find_fdt_coloring(g, M)) == _coloring_fields(want), (p, M)
+    # one search frame per vertex: the largest edgeless graph still fits
+    f = find_fdt_coloring(Graph(MAX_SEARCH_ELEMENTS, []), 1)
+    assert list(f.vertex_colors.items()) == [(v, 1) for v in range(1, MAX_SEARCH_ELEMENTS + 1)]
+    assert f.edge_colors == {}
+    with pytest.raises(ValueError, match="p \\+ q <= %d" % MAX_SEARCH_ELEMENTS):
+        find_fdt_coloring(Graph(MAX_SEARCH_ELEMENTS + 1, []), 1)
+
+
 def test_candidate_mask_is_exactly_the_colors_passing_the_edge_checks():
     """On random partial states the mask holds every color whose edges to
     the earlier neighbors each have one option passing the one-edge checks
@@ -364,7 +443,7 @@ def test_candidate_mask_is_exactly_the_colors_passing_the_edge_checks():
 def test_reach_is_every_edge_color_a_vertex_color_can_carry():
     for M in range(1, 13):
         for k in range(0, 2 * M - 1):
-            reach = _reach(M, k)
+            reach = _tables(M, k)[0]
             assert len(reach) == M + 1 and reach[0] == 0
             for c in range(1, M + 1):
                 want = {
@@ -434,7 +513,6 @@ def test_cached_tables_are_reach_and_every_fit_count():
         for k in range(0, 2 * M - 1):
             reach, fit = _tables(M, k)
             assert type(reach) is tuple and type(fit) is tuple
-            assert list(reach) == _reach(M, k), (M, k)
             sizes = [len([e for e in range(M + 2) if reach[c] >> e & 1]) for c in range(M + 1)]
             want = [
                 sum(1 << c for c in range(1, M + 1) if sizes[c] >= d) for d in range(M + 1)

@@ -7,7 +7,7 @@ from iceflower.graph import Graph
 from iceflower.families import complete_graph, path_graph
 from iceflower.coloring import TotalColoring, is_proper_total
 from iceflower.lattice import CoincideScript, decompose_to_stars
-from iceflower.system import build_uniform_fdt_system
+from iceflower.system import ColoredIceFlowerSystem, build_uniform_fdt_system, make_star
 from iceflower.topcode import TopcodeMatrix
 from iceflower.formats import (
     FormatError,
@@ -91,6 +91,25 @@ def test_system_header_dash_means_unchecked_constant():
     doc = "system 3 1 -\n" + rest
     s2 = read_system(doc)
     assert s2.fdt_constant is None
+
+
+def test_system_header_uniform_flag_must_match_the_stars():
+    doc = write_system(build_uniform_fdt_system(3, 0))
+    rest = doc.split("\n", 1)[1]
+    assert read_system("system 3 1 0\n" + rest).uniform
+    for flag in ("banana", "7", "0", "-1", "01"):
+        with pytest.raises(FormatError, match="system header: "):
+            read_system("system 3 %s 0\n" % flag + rest)
+    mixed = ColoredIceFlowerSystem(
+        [make_star(2), make_star(3)],
+        [TotalColoring(5, {1: 1, 2: 2, 3: 3}, {(1, 2): 4, (1, 3): 5}),
+         TotalColoring(5, {1: 1, 2: 2, 3: 3, 4: 4}, {(1, 2): 5, (1, 3): 4, (1, 4): 3})],
+    )
+    mixed_doc = write_system(mixed)
+    assert mixed_doc.startswith("system 2 0 -\n")
+    assert read_system(mixed_doc).colorings == mixed.colorings
+    with pytest.raises(FormatError, match="system header: "):
+        read_system(mixed_doc.replace("system 2 0", "system 2 1", 1))
 
 
 def test_system_errors():
