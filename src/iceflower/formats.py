@@ -4,9 +4,18 @@ topcode matrices, plus DOT export.
 Every writer here produces byte-stable output (ascending edge order,
 fixed field order) and every reader accepts exactly what the writers
 emit, so round-tripping is the norm, not a special case.
+
+One token grammar serves every reader and `sniff`.  An integer field is
+what ``%d`` writes: ASCII ``0|-?[1-9][0-9]*``, so ``+3``, ``1_0``,
+``007``, ``-0`` and other scripts' digits are rejected.  A header is its
+exact first word (``system``, ``base``, ``steps``, ``topcode``) plus a
+fixed number of fields.  Whitespace stays free: lines are stripped,
+blank lines are skipped, and fields are split on any run of whitespace,
+except in topcode rows, whose entries are separated by single commas.
 """
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Optional, Tuple
 
 from .graph import Graph, _norm_edge
@@ -22,18 +31,35 @@ class FormatError(ValueError):
     """Malformed document text."""
 
 
-def _int_fields(line: str, n: int, what: str) -> List[int]:
-    parts = line.split()
-    if len(parts) != n:
+_INT = r"(?:0|-?[1-9][0-9]*)"  # what %d writes, in ASCII digits
+_FIELDS = {sep: re.compile("%s(?:%s%s)*" % (_INT, sep or r"\s+", _INT)) for sep in (None, ",")}
+
+
+def _int_fields(line: str, n: Optional[int], what: str, sep: Optional[str] = None) -> List[int]:
+    """The fields of `line` as integers: split on whitespace runs, or on
+    `sep`, and n of them unless n is None.  One pattern per separator
+    checks the whole line at once."""
+    parts = line.split(sep)
+    if n is not None and len(parts) != n:
         raise FormatError("%s: expected %d fields, got %r" % (what, n, line))
-    try:
-        return [int(x) for x in parts]
-    except ValueError:
+    if not _FIELDS[sep].fullmatch(line):
         raise FormatError("%s: non-integer field in %r" % (what, line))
+    return [int(x) for x in parts]
+
+
+def _header(lines: List[str], usage: str) -> List[str]:
+    """The fields of the first line, which must be shaped like `usage`:
+    its exact first word, then one field per further word."""
+    head, want = (lines[0].split() if lines else []), usage.split()
+    if head[:1] != want[:1]:
+        raise FormatError("missing %s header" % want[0])
+    if len(head) != len(want):
+        raise FormatError("%s header: expected %r" % (want[0], usage))
+    return head[1:]
 
 
 def _lines(text: str) -> List[str]:
-    return [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    return [ln for ln in map(str.strip, text.splitlines()) if ln]
 
 
 # -- graph documents -------------------------------------------------------
@@ -105,18 +131,16 @@ def write_system(s: ColoredIceFlowerSystem) -> str:
     return "\n".join(out) + "\n"
 
 
+def _system_header(lines: List[str]) -> Tuple[int, int, Optional[int]]:
+    """n, the uniform flag and the declared constant (None for "-")."""
+    n, uniform, k = _header(lines, "system n uniform k")
+    n, uniform = _int_fields(n + " " + uniform, 2, "system header")
+    return n, uniform, None if k == "-" else _int_fields(k, 1, "system header")[0]
+
+
 def read_system(text: str) -> ColoredIceFlowerSystem:
     lines = _lines(text)
-    if not lines or not lines[0].startswith("system"):
-        raise FormatError("missing system header")
-    head = lines[0].split()
-    if len(head) != 4:
-        raise FormatError("system header: expected 'system n uniform k'")
-    try:
-        n = int(head[1])
-        declared_k = None if head[3] == "-" else int(head[3])
-    except ValueError:
-        raise FormatError("system header: bad count or constant")
+    n, uniform, declared_k = _system_header(lines)
     pos = 1
     sizes: List[int] = []
     colorings: List[TotalColoring] = []
@@ -137,9 +161,8 @@ def read_system(text: str) -> ColoredIceFlowerSystem:
         s = ColoredIceFlowerSystem([make_star(m) for m in sizes], colorings, fdt_constant=declared_k)
     except ValueError as e:
         raise FormatError("system: %s" % e)
-    uniform = "1" if s.uniform else "0"
-    if head[2] != uniform:
-        raise FormatError("system header: uniform flag must be %s for these stars, got %r" % (uniform, head[2]))
+    if uniform != s.uniform:
+        raise FormatError("system header: uniform flag must be %d for these stars, got %d" % (s.uniform, uniform))
     return s
 
 
@@ -155,18 +178,16 @@ def write_script(sc: CoincideScript) -> str:
     return "\n".join(out) + "\n"
 
 
+def _base_header(lines: List[str]) -> int:
+    return _int_fields(_header(lines, "base n")[0], 1, "base header")[0]
+
+
 def read_script(text: str) -> CoincideScript:
     lines = _lines(text)
-    if not lines or not lines[0].startswith("base"):
-        raise FormatError("missing base header")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise FormatError("base header: expected 'base n'")
-    try:
-        n = int(head[1])
-    except ValueError:
-        raise FormatError("base header: bad count")
-    if len(lines) < 1 + n + 1:
+    n = _base_header(lines)
+    if n < 0:
+        raise FormatError("base header: negative star count %d" % n)
+    if len(lines) < 2 + n:
         raise FormatError("script: truncated base table")
     sizes = []
     coeffs = []
@@ -174,13 +195,7 @@ def read_script(text: str) -> CoincideScript:
         m, a = _int_fields(ln, 2, "base star")
         sizes.append(m)
         coeffs.append(a)
-    steps_head = lines[1 + n].split()
-    if len(steps_head) != 2 or steps_head[0] != "steps":
-        raise FormatError("script: expected 'steps t' after base table")
-    try:
-        t = int(steps_head[1])
-    except ValueError:
-        raise FormatError("script: bad step count")
+    t = _int_fields(_header(lines[1 + n :], "steps t")[0], 1, "steps header")[0]
     step_lines = lines[2 + n :]
     if len(step_lines) != t:
         raise FormatError("script: expected %d step lines, got %d" % (t, len(step_lines)))
@@ -202,21 +217,17 @@ def write_topcode(t: TopcodeMatrix) -> str:
     return "\n".join(out) + "\n"
 
 
+def _topcode_header(lines: List[str]) -> None:
+    if _header(lines, "topcode convention") != [TOPCODE_CONVENTION]:
+        raise FormatError("unsupported topcode convention (want %s)" % TOPCODE_CONVENTION)
+
+
 def read_topcode(text: str) -> TopcodeMatrix:
     lines = _lines(text)
-    if not lines or not lines[0].startswith("topcode"):
-        raise FormatError("missing topcode header")
-    head = lines[0].split()
-    if len(head) != 2 or head[1] != TOPCODE_CONVENTION:
-        raise FormatError("unsupported topcode convention (want %s)" % TOPCODE_CONVENTION)
+    _topcode_header(lines)
     if len(lines) != 4:
         raise FormatError("topcode: expected exactly three row lines")
-    rows = []
-    for ln in lines[1:]:
-        try:
-            rows.append(tuple(int(x) for x in ln.split(",")))
-        except ValueError:
-            raise FormatError("topcode: non-integer entry in %r" % ln)
+    rows = [tuple(_int_fields(ln, None, "topcode row", ",")) for ln in lines[1:]]
     try:
         return TopcodeMatrix(*rows)
     except ValueError as e:
@@ -240,23 +251,28 @@ def read_number_string(text: str, substitute_o: bool = False) -> str:
 # -- document sniffing -----------------------------------------------------
 
 
+_HEADERS = (
+    ("graph", lambda lines: _int_fields(lines[0], 2, "graph header")),
+    ("colored", lambda lines: _int_fields(lines[0], 3, "colored header")),
+    ("system", _system_header),
+    ("script", _base_header),
+    ("topcode", _topcode_header),
+)
+
+
 def sniff(text: str) -> str:
     """Which document kind a text is: graph, colored, system, script, or
-    topcode.  Decides on the first non-blank line only."""
+    topcode.  Decides on the first non-blank line only: the kind is the
+    one whose reader accepts it as a header."""
     lines = _lines(text)
     if not lines:
         raise FormatError("empty document")
-    first = lines[0].split()
-    if first[0] == "system":
-        return "system"
-    if first[0] == "base":
-        return "script"
-    if first[0] == "topcode":
-        return "topcode"
-    if len(first) == 2 and all(w.lstrip("-").isdigit() for w in first):
-        return "graph"
-    if len(first) == 3 and all(w.lstrip("-").isdigit() for w in first):
-        return "colored"
+    for kind, read_header in _HEADERS:
+        try:
+            read_header(lines)
+        except FormatError:
+            continue
+        return kind
     raise FormatError("unrecognized document header: %r" % lines[0])
 
 

@@ -4,10 +4,10 @@ A system is an ordered list of stars K_{1,m_j} (m_j >= 2).  A colored
 system attaches a proper total coloring to each star; it is *strongly
 colored* when every pair of distinct stars can be merged through some
 pair of color-compatible leaf-edges.  The uniform construction below
-builds n stars on n-1 leaves each whose every edge weight equals k, and
+builds n stars on n-1 leaves each whose every edge weight equals 0, and
 is strongly colored by design: star j has center color j, leaf colors
-[1,n] minus j, and the edge to the leaf colored l gets color j + l - k,
-so the coupling edge colors agree automatically for every star pair.
+[1,n] minus j, and the edge to the leaf colored l gets color j + l, so
+the coupling edge colors agree automatically for every star pair.
 """
 from __future__ import annotations
 
@@ -158,44 +158,32 @@ def is_strongly_colored(s: ColoredIceFlowerSystem) -> bool:
 
 
 def build_uniform_fdt_system(n: int, k: int) -> ColoredIceFlowerSystem:
-    """n stars K_{1,n-1} with every edge weight equal to k.
+    """n stars K_{1,n-1} with every edge weight equal to k, which exists
+    only at k = 0.
 
     Star j: center colored j; leaves colored [1,n] \\ {j} in ascending
-    order; the edge to the leaf colored l is colored j + l - k, which has
-    weight |j + l - (j+l-k)| = k.  Every color must land in [1, 2n-1-k]
-    and stay proper; k = 0 always works, larger k is rejected when any
-    edge color would fall to 0 or collide with an endpoint.
+    order; the edge to the leaf colored l is colored j + l, which has
+    weight |j + l - (j+l)| = 0, over the palette 2n - 1.  Shifting the
+    edge colors to j + l - k for another k fails: for 1 <= k <= n star
+    j = k colors each edge like its leaf, for k >= n the palette 2n - 1 - k
+    has fewer than n colors, and k < 0 is no weight.
     """
     if n < 3:
         raise ValueError("n >= 3 required")
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    palette = 2 * n - 1 - k
-    if palette < n:
-        raise ValueError("k too large for any valid edge color")
+    if k != 0:
+        raise ValueError("the uniform construction exists only at k = 0, got k = %d" % k)
     stars: List[Star] = []
     colorings: List[TotalColoring] = []
     for j in range(1, n + 1):
-        star = make_star(n - 1)
         leaf_colors = [l for l in range(1, n + 1) if l != j]
         vc = {1: j}
         ec: Dict[Tuple[int, int], int] = {}
         for idx, l in enumerate(leaf_colors):
-            leaf_id = 2 + idx
-            c = j + l - k
-            if c < 1:
-                raise ValueError(
-                    "edge color %d+%d-%d < 1; construction undefined" % (j, l, k)
-                )
-            if c == j or c == l:
-                raise ValueError(
-                    "edge color %d+%d-%d collides with an endpoint color" % (j, l, k)
-                )
-            vc[leaf_id] = l
-            ec[(1, leaf_id)] = c
-        stars.append(star)
-        colorings.append(TotalColoring(palette, vc, ec))
-    return ColoredIceFlowerSystem(stars, colorings, fdt_constant=k)
+            vc[2 + idx] = l
+            ec[(1, 2 + idx)] = j + l
+        stars.append(make_star(n - 1))
+        colorings.append(TotalColoring(2 * n - 1, vc, ec))
+    return ColoredIceFlowerSystem(stars, colorings, fdt_constant=0)
 
 
 @dataclass

@@ -374,6 +374,10 @@ _TWO_STAR_REPLAY = recompose_colored(CoincideScript(_S4.backbone(), (1, 1, 0, 0)
             id="recompose-bad-step",
         ),
         pytest.param(
+            ["recompose", "{a}"], {"a": "base -5\nsteps 0\n"},
+            id="recompose-negative-base-count",
+        ),
+        pytest.param(
             ["topcode", "encode", "{a}"],
             {"a": write_colored(Graph(1, []), TotalColoring(1, {1: 1}, {}))},
             id="encode-no-edges",

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import pytest
@@ -189,6 +190,68 @@ def test_sniff_and_read_any():
     assert got[0].edges() == g.edges() and got[1] is None
     got2 = read_any_graph(write_colored(path_graph(3), f))
     assert got2[1] is not None and got2[1].palette == 5
+
+
+_WRITTEN = {  # kind -> (its reader, one writer's output)
+    "graph": (read_graph, write_graph(path_graph(3))),
+    "colored": (
+        read_colored,
+        write_colored(path_graph(3), TotalColoring(5, {1: 1, 2: 2, 3: 3}, {(1, 2): 4, (2, 3): 5})),
+    ),
+    "system": (read_system, write_system(build_uniform_fdt_system(3, 0))),
+    "script": (read_script, write_script(decompose_to_stars(complete_graph(3)))),
+    "topcode": (read_topcode, write_topcode(TopcodeMatrix((1, 2), (3, 5), (2, 4)))),
+}
+_BAD_INTEGERS = ("+3", "1_0", "007", "-0", "\u0663", "\uff14")  # the last two: Arabic-Indic 3, fullwidth 4
+_BAD_KEYWORDS = {"systemX": "system", "baseball": "base", "stepsX": "steps", "topcodes": "topcode"}
+
+
+def _mutants(token):
+    """(kind, text, line index) for each written document with `token` in
+    place of one of its integer fields, or of the keyword it spoils."""
+    for kind, (_, doc) in _WRITTEN.items():
+        lines = doc.splitlines()
+        for i, ln in enumerate(lines):
+            sep = "," if "," in ln else " "
+            fields = ln.split(sep)
+            for j, f in enumerate(fields):
+                if f == _BAD_KEYWORDS.get(token) or (token in _BAD_INTEGERS and re.fullmatch(r"-?[0-9]+", f)):
+                    line = sep.join(fields[:j] + [token] + fields[j + 1 :])
+                    yield kind, "\n".join(lines[:i] + [line] + lines[i + 1 :]) + "\n", i
+
+
+def _sniffed(text):
+    try:
+        return sniff(text)
+    except FormatError:
+        return None
+
+
+@pytest.mark.parametrize("token", _BAD_INTEGERS + tuple(_BAD_KEYWORDS))
+def test_readers_and_sniff_reject_tokens_no_writer_emits(token):
+    mutants = list(_mutants(token))
+    assert mutants
+    for kind, text, i in mutants:
+        with pytest.raises(FormatError, match="non-integer field" if token in _BAD_INTEGERS else "missing"):
+            _WRITTEN[kind][0](text)
+        if i == 0:
+            with pytest.raises(FormatError):
+                sniff(text)
+
+
+def test_sniff_names_a_kind_exactly_when_its_reader_takes_the_header():
+    for kind, (reader, doc) in _WRITTEN.items():
+        head, rest = doc.split("\n", 1)
+        texts = [doc, head + " 1\n" + rest, head.rsplit(" ", 1)[0] + "\n" + rest]
+        for token in _BAD_INTEGERS + tuple(_BAD_KEYWORDS):
+            texts.extend(text for k, text, i in _mutants(token) if k == kind and i == 0)
+        for text in texts:
+            try:
+                reader(text)
+                accepted = True
+            except FormatError:
+                accepted = False
+            assert (_sniffed(text) == kind) == accepted, text
 
 
 def test_export_dot():

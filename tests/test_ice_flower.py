@@ -22,6 +22,7 @@ from iceflower.system import (
     saturate,
     star_coincide,
 )
+from iceflower.formats import write_system
 
 
 def test_star_layout():
@@ -110,6 +111,38 @@ def test_uniform_rejects_bad_parameters():
         build_uniform_fdt_system(2, 0)
     with pytest.raises(ValueError):
         build_uniform_fdt_system(3, 5)  # no valid edge color at that offset
+    for n in range(3, 12):
+        for k in range(-1, 2 * n + 1):
+            if k != 0:
+                with pytest.raises(ValueError, match="only at k = 0"):
+                    build_uniform_fdt_system(n, k)
+
+
+def _shifted_uniform_system(n, k):
+    """The construction with edge colors j + l - k over the palette
+    2n - 1 - k, raising where a color falls below 1 or meets an endpoint."""
+    if n < 3 or k < 0 or 2 * n - 1 - k < n:
+        raise ValueError("no palette")
+    stars, colorings = [], []
+    for j in range(1, n + 1):
+        vc, ec = {1: j}, {}
+        for idx, l in enumerate(l for l in range(1, n + 1) if l != j):
+            c = j + l - k
+            if c < 1 or c in (j, l):
+                raise ValueError("bad edge color")
+            vc[2 + idx] = l
+            ec[(1, 2 + idx)] = c
+        stars.append(make_star(n - 1))
+        colorings.append(TotalColoring(2 * n - 1 - k, vc, ec))
+    return ColoredIceFlowerSystem(stars, colorings, fdt_constant=k)
+
+
+def test_uniform_construction_is_the_shifted_one_at_its_only_constant():
+    for n in range(3, 13):
+        assert write_system(build_uniform_fdt_system(n, 0)) == write_system(_shifted_uniform_system(n, 0))
+        for k in range(1, 2 * n + 1):
+            with pytest.raises(ValueError):
+                _shifted_uniform_system(n, k)
 
 
 def test_strongly_colored():
