@@ -53,12 +53,21 @@ def _read_file(path: str) -> str:
         raise ValueError("cannot read %s: %s" % (path, e))
 
 
+def _int(text: str) -> int:
+    """An integer argument, read by the document fields' one rule: what
+    %d writes, so one token of ASCII 0|-?[1-9][0-9]*."""
+    return formats._int_fields(text, 1, "argument")[0]
+
+
+_int.__name__ = "int"  # argparse names the type: "invalid int value: 'x'"
+
+
 def _ints(text: str, what: str) -> List[int]:
     parts = text.replace(",", " ").split()
     if not parts:
         raise ValueError("%s: empty list" % what)
     try:
-        return [int(x) for x in parts]
+        return [_int(x) for x in parts]
     except ValueError:
         raise ValueError("%s: expected integers, got %r" % (what, text))
 
@@ -69,7 +78,7 @@ def _q_values(text: str) -> Sequence[int]:
     if ":" in text:
         lo, _, hi = text.partition(":")
         try:
-            a, b = int(lo), int(hi)
+            a, b = _int(lo), _int(hi)
         except ValueError:
             raise ValueError("--q: expected N or LO:HI, got %r" % text)
         if a > b:
@@ -106,8 +115,8 @@ def _build_parser() -> _Parser:
     hamsub = ham.add_subparsers(dest="sub", required=True)
     hb = hamsub.add_parser("build")
     hb.add_argument("degrees", help="spine degrees in cyclic order, e.g. 3,3,3,3")
-    hb.add_argument("--budget", type=int, default=20, help="max pendants for the exhaustive sweep")
-    hb.add_argument("--seed", type=int, default=0)
+    hb.add_argument("--budget", type=_int, default=20, help="max pendants for the exhaustive sweep")
+    hb.add_argument("--seed", type=_int, default=0)
 
     col = sub.add_parser("coloring", help="total-coloring operations")
     colsub = col.add_subparsers(dest="sub", required=True)
@@ -115,13 +124,13 @@ def _build_parser() -> _Parser:
     cv.add_argument("input")
     cc = colsub.add_parser("chi-fdt")
     cc.add_argument("input")
-    cc.add_argument("--max-colors", type=int, default=16)
+    cc.add_argument("--max-colors", type=_int, default=16)
 
     ice = sub.add_parser("iceflower", help="star-system operations")
     icesub = ice.add_subparsers(dest="sub", required=True)
     ib = icesub.add_parser("build")
-    ib.add_argument("n", type=int)
-    ib.add_argument("k", type=int)
+    ib.add_argument("n", type=_int)
+    ib.add_argument("k", type=_int)
     isc = icesub.add_parser("strong-check")
     isc.add_argument("input")
 
@@ -142,7 +151,7 @@ def _build_parser() -> _Parser:
     ts.add_argument("--q", required=True, help="edge count: N, LO:HI, or a,b,c")
     ts.add_argument("--substitute-o", action="store_true",
                     help="read the letter o as the digit 0 (reported, never silent)")
-    ts.add_argument("--limit", type=int, default=10, help="solutions to print in full (0 = all)")
+    ts.add_argument("--limit", type=_int, default=10, help="solutions to print in full (0 = all)")
 
     ex = sub.add_parser("export", help="visualization export")
     exsub = ex.add_subparsers(dest="sub", required=True)
@@ -150,7 +159,7 @@ def _build_parser() -> _Parser:
     ed.add_argument("input")
 
     for subparser in (d, r, lc, sc, hb, cv, cc, ib, isc, sat, te, td, ts, ed):
-        subparser.add_argument("--threads", type=int, default=1,
+        subparser.add_argument("--threads", type=_int, default=1,
                                help="parallelism hint (results never depend on it)")
     return p
 

@@ -15,6 +15,19 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+# The largest order of any graph built here.  Graph allocates one
+# adjacency set per vertex up front, so a document or argument that
+# declares a huge p is refused with ValueError (CLI exit 2) instead of
+# exhausting memory; the builders that lay out many vertices check their
+# total against it before they allocate anything.
+MAX_VERTICES = 100_000
+
+
+def _check_order(p: int) -> None:
+    if p > MAX_VERTICES:
+        raise ValueError("graphs take p <= %d vertices, got p = %d" % (MAX_VERTICES, p))
+
+
 class Graph:
     """Simple undirected graph on the vertex set {1, ..., p}."""
 
@@ -23,6 +36,7 @@ class Graph:
     def __init__(self, p: int, edges: Iterable[Tuple[int, int]] = ()):
         if p < 1:
             raise ValueError("graph needs at least one vertex, got p=%d" % p)
+        _check_order(p)
         self.p = p
         adj: List[set] = [set() for _ in range(p + 1)]
         q = 0

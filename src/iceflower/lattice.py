@@ -11,15 +11,15 @@ expressions, and color-preserving membership against a colored system.
 from __future__ import annotations
 
 import random
-from itertools import islice, product
+from itertools import accumulate, islice, product
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from .graph import (
     Graph,
+    _check_order,
     _norm_edge,
     canonical_form,
-    canonical_relabel,
     find_hamilton_cycle,
     find_proper_vertex_coloring,
     is_connected,
@@ -27,8 +27,8 @@ from .graph import (
 )
 from .families import prufer_to_tree
 from .coloring import TotalColoring, is_proper_total
-from .leafops import LeafEdge, Surgery, leaf_split
-from .system import ColoredIceFlowerSystem, IceFlowerSystem, Star, _lay_out_stars, make_star
+from .leafops import LeafEdge, Surgery, _lay_out, leaf_split
+from .system import ColoredIceFlowerSystem, IceFlowerSystem, Star, make_star
 
 Step = Tuple[int, int, int, int]  # (instance, leaf slot, instance, leaf slot)
 
@@ -62,33 +62,28 @@ def _replay(
 ) -> Tuple[Graph, Optional[TotalColoring]]:
     """Lay out the star copies and run the merge steps in order.
 
-    Leaf slot l of the instance centered at c is vertex c + l for the
-    whole replay, and a consumed slot is a deleted leaf.  With a colored
-    system every step is also checked for color compatibility.
+    Copy t occupies the ids shift + 1 .. shift + m + 1, center first, so
+    leaf slot l of it is vertex shift + 1 + l for the whole replay, and
+    a consumed slot is a deleted leaf.  With a colored system every step
+    is also checked for color compatibility.
     """
-    stars = [s for s, a in zip(script.base.stars, script.coefficients) for _ in range(a)]
-    colorings: Optional[List[TotalColoring]] = None
-    palette = 0
-    if system is not None:
-        if system.sizes() != script.base.sizes():
-            raise ValueError("system stars do not match the script base")
-        colorings = [f for f, a in zip(system.colorings, script.coefficients) for _ in range(a)]
-        palette = max(f.palette for f in system.colorings)
-    g, theta, centers = _lay_out_stars(stars, colorings, palette)
+    if system is not None and system.sizes() != script.base.sizes():
+        raise ValueError("system stars do not match the script base")
+    colorings = system.colorings if system is not None else None
+    g, theta, shifts = _lay_out(script.base.stars, script.coefficients, colorings)
+    ends = shifts[1:] + [g.p]
 
     surgery = Surgery(g, theta)
     for t1, l1, t2, l2 in script.steps:
         for t, l in ((t1, l1), (t2, l2)):
-            if not (1 <= t <= len(stars) and 0 <= l <= stars[t - 1].m):
+            if not (1 <= t <= len(shifts) and 0 <= l < ends[t - 1] - shifts[t - 1]):
                 raise ValueError("step references unknown slot (%d,%d)" % (t, l))
             if l < 1:
                 raise ValueError("steps must consume leaf slots, not centers")
-            if centers[t - 1] + l in surgery.gone:
+            if shifts[t - 1] + 1 + l in surgery.gone:
                 raise ValueError("slot (%d,%d) already consumed" % (t, l))
-        surgery.merge(
-            LeafEdge(centers[t1 - 1], centers[t1 - 1] + l1),
-            LeafEdge(centers[t2 - 1], centers[t2 - 1] + l2),
-        )
+        c1, c2 = shifts[t1 - 1] + 1, shifts[t2 - 1] + 1
+        surgery.merge(LeafEdge(c1, c1 + l1), LeafEdge(c2, c2 + l2))
     g, _, theta = surgery.finish()
     return g, theta
 
@@ -213,25 +208,26 @@ def build_haired_cycle(degrees: Sequence[int]) -> HairedCycle:
 
     Star i donates its last leaf to reach star i+1's first leaf; the
     cycle closes between star n's last leaf and star 1's first leaf.
-    Spine vertex i keeps m_i - 2 pendant leaves.
+    Spine vertex i keeps m_i - 2 pendant leaves.  The graph is built
+    directly on the ids that merge chain renumbers to: star i keeps its
+    center and its middle leaves, so its center is 1 + sum_{k<i}(m_k - 1)
+    and its pendants follow it.  The sum(m) - n vertices are checked
+    against MAX_VERTICES before anything is allocated.
     """
     n = len(degrees)
     if n < 3:
         raise ValueError("a cycle needs at least 3 spine vertices")
     if any(m < 2 for m in degrees):
         raise ValueError("every spine degree must be >= 2")
+    _check_order(sum(degrees) - n)
 
-    g, _, centers = _lay_out_stars([make_star(m) for m in degrees], None, 0)
-    free = [list(range(c + 1, c + m + 1)) for c, m in zip(centers, degrees)]
-    surgery = Surgery(g)
-    for i in range(n):
-        j = (i + 1) % n
-        surgery.merge(LeafEdge(centers[i], free[i].pop()), LeafEdge(centers[j], free[j].pop(0)))
-    g, new, _ = surgery.finish()
-    centers = [new[c] for c in centers]
-    free = [[new[v] for v in lst] for lst in free]
+    centers = list(accumulate((m - 1 for m in degrees[:-1]), initial=1))
+    pendants = {c: list(range(c + 1, c + m - 1)) for c, m in zip(centers, degrees)}
+    edges = [(centers[i], centers[(i + 1) % n]) for i in range(n)]
+    edges.extend((c, x) for c, hair in pendants.items() for x in hair)
+    g = Graph(sum(degrees) - n, edges)
 
-    hc = HairedCycle(g, centers, dict(zip(centers, free)))
+    hc = HairedCycle(g, centers, pendants)
     for i in range(n):
         assert g.degree(centers[i]) == degrees[i]
         assert g.has_edge(centers[i], centers[(i + 1) % n])
@@ -295,9 +291,12 @@ def close_to_hamiltonian(
 
     Pendants at one spine vertex are interchangeable, so pairings are
     enumerated as chord sets on the spine: simple, loop-free, disjoint
-    from the cycle, with chord-degree m_i - 2 at spine vertex i.  Each
-    chord set is replayed through leaf merges and the results are
-    deduplicated up to isomorphism (canonical labels, sorted).
+    from the cycle, with chord-degree m_i - 2 at spine vertex i.  Merging
+    two pendants deletes both leaves and joins their supports, so a chord
+    set closes the haired cycle into the spine cycle plus those chords;
+    each closure is built as that graph on spine positions 1..n, and the
+    results are deduplicated up to isomorphism (canonical labels, sorted),
+    which no vertex labeling changes.
 
     Beyond `exhaustive_limit` pendants the sweep switches to seeded
     random pairings and the result is flagged partial.  When no sample
@@ -311,10 +310,8 @@ def close_to_hamiltonian(
     total = sum(residual)
     if total % 2:
         raise NoClosure("odd pendant count: no perfect pairing exists")
-    if total == 0:
-        return ClosureResult([canonical_relabel(hc.graph)], False)
 
-    partial = total > exhaustive_limit
+    partial = total > max(exhaustive_limit, 0)  # no pendants: one empty chord set, never partial
     if not partial:
         chord_sets = list(_chord_graphs(n, residual))
     else:
@@ -335,17 +332,10 @@ def close_to_hamiltonian(
     if not chord_sets:
         raise NoClosure("no pairing avoids multi-edges")
 
+    cycle = [(i, i % n + 1) for i in range(1, n + 1)]
     results: Dict[Tuple, Graph] = {}
     for chords in chord_sets:
-        surgery = Surgery(hc.graph)
-        pend = [iter(hc.pendants[v]) for v in hc.spine]
-        for i, j in sorted(chords):
-            surgery.merge(
-                LeafEdge(hc.spine[i], next(pend[i])),
-                LeafEdge(hc.spine[j], next(pend[j])),
-            )
-        g, _, _ = surgery.finish()
-        key = canonical_form(g)
+        key = canonical_form(Graph(n, cycle + [(i + 1, j + 1) for i, j in chords]))
         if key not in results:
             results[key] = Graph(key[0], key[1])
     ordered = [results[k] for k in sorted(results)]

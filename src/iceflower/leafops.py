@@ -12,19 +12,32 @@ Operations that delete vertices renumber the survivors densely and
 return the old-id -> new-id map, so sequences of moves stay replayable.
 A whole batch of merges runs through one Surgery on fixed ids and is
 renumbered once at the end, with the same result as the one-step chain.
+Every side-by-side layout of graphs or stars, colored or not, comes from
+one function, _lay_out, and every merge obeys one color rule,
+_compatible.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .graph import Graph, _norm_edge
+from .graph import Edge, Graph, _check_order, _norm_edge
 from .coloring import TotalColoring, is_proper_total
 
 
 class LeafEdge(NamedTuple):
     support: int
     leaf: int
+
+
+def _compatible(vc: Dict[int, int], ec: Dict[Edge, int], e1: LeafEdge, e2: LeafEdge) -> bool:
+    """The one color rule for merging two leaf-edges: each support has the
+    other leaf's color, and the two edge colors are equal."""
+    return (
+        vc[e1.support] == vc[e2.leaf]
+        and vc[e2.support] == vc[e1.leaf]
+        and ec[_norm_edge(*e1)] == ec[_norm_edge(*e2)]
+    )
 
 
 def check_leaf_edge(
@@ -125,11 +138,8 @@ class Surgery:
         check_leaf_edge(self.adj, e1, self._label)
         check_leaf_edge(self.adj, e2, self._label)
         u, v = e1.support, e2.support
-        if self.theta is not None:
-            vc, ec = self.theta.vertex_colors, self.ec
-            c = ec[_norm_edge(*e1)]
-            if not (vc[u] == vc[e2.leaf] and vc[v] == vc[e1.leaf] and c == ec[_norm_edge(*e2)]):
-                raise ValueError("leaf-edges are not color-compatible")
+        if self.theta is not None and not _compatible(self.theta.vertex_colors, self.ec, e1, e2):
+            raise ValueError("leaf-edges are not color-compatible")
         if e1 == e2 or e1.leaf == e2.leaf:
             raise ValueError("need two distinct leaf-edges")
         if u == v:
@@ -148,7 +158,7 @@ class Surgery:
         self.adj[u].add(v)
         self.adj[v].add(u)
         if self.theta is not None:
-            self.ec[_norm_edge(u, v)] = c
+            self.ec[_norm_edge(u, v)] = self.ec[_norm_edge(*e1)]  # deleted edges keep their colors
 
     def finish(self) -> Tuple[Graph, Dict[int, int], Optional[TotalColoring]]:
         """The merged graph with survivors renumbered densely in id order,
@@ -185,11 +195,44 @@ class AcrossResult:
     map2: Dict[int, int]  # vertex of H2 -> vertex of the result
 
 
+def _lay_out(
+    parts: Sequence, counts: Sequence[int], colorings: Optional[Sequence[TotalColoring]] = None
+) -> Tuple[Graph, Optional[TotalColoring], List[int]]:
+    """counts[i] disjoint copies of parts[i], in order, each copy's ids
+    shifted up past the copies before it.
+
+    A part is anything with an order `p` and an `edges()` list: a Graph,
+    or a system Star, which gives its edges from its size and so builds
+    no Graph.  Each part's edges are read once.  With colorings (one per
+    part, covering it exactly) the copies carry their part's colors, over
+    the largest palette bound among them.  Returns the graph, the
+    combined coloring (None without colorings) and each copy's id shift.
+    The total order is checked against MAX_VERTICES before anything is
+    allocated.
+    """
+    _check_order(sum(part.p * a for part, a in zip(parts, counts)))
+    edges: List[Edge] = []
+    vc: Dict[int, int] = {}
+    ec: Dict[Edge, int] = {}
+    shifts: List[int] = []
+    s = 0
+    for part, a, f in zip(parts, counts, colorings or [None] * len(parts)):
+        part_edges = part.edges()
+        for _ in range(a):
+            shifts.append(s)
+            edges.extend((u + s, v + s) for u, v in part_edges)
+            if f is not None:
+                vc.update((v + s, c) for v, c in f.vertex_colors.items())
+                ec.update(((u + s, v + s), c) for (u, v), c in f.edge_colors.items())
+            s += part.p
+    theta = None if colorings is None else TotalColoring(max(f.palette for f in colorings), vc, ec)
+    return Graph(s, edges), theta, shifts
+
+
 def disjoint_union(g1: Graph, g2: Graph) -> Tuple[Graph, int]:
     """g1 alongside g2 with g2's ids shifted up by g1.p; returns the shift."""
-    shift = g1.p
-    edges = g1.edges() + [(u + shift, v + shift) for u, v in g2.edges()]
-    return Graph(g1.p + g2.p, edges), shift
+    g, _, shifts = _lay_out((g1, g2), (1, 1))
+    return g, shifts[1]
 
 
 def leaf_coincide_across(g1: Graph, e1: LeafEdge, g2: Graph, e2: LeafEdge) -> AcrossResult:
@@ -242,11 +285,7 @@ def colored_compatible(
         _norm_edge(*e) not in theta.edge_colors for e in (e1, e2)
     ):
         raise ValueError("coloring does not cover the graph")
-    return (
-        theta.vertex(e1.support) == theta.vertex(e2.leaf)
-        and theta.vertex(e2.support) == theta.vertex(e1.leaf)
-        and theta.edge(*e1) == theta.edge(*e2)
-    )
+    return _compatible(theta.vertex_colors, theta.edge_colors, e1, e2)
 
 
 def colored_leaf_coincide(

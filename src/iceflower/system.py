@@ -12,12 +12,11 @@ the coupling edge colors agree automatically for every star pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .graph import Graph, is_delta_saturated
-from .families import star_graph
+from .graph import Edge, Graph, _check_order, is_delta_saturated
 from .coloring import TotalColoring, is_proper_total, bfdt
-from .leafops import LeafEdge, Surgery, leaf_coincide_across, leaf_edges
+from .leafops import LeafEdge, Surgery, _lay_out, leaf_coincide_across, leaf_edges
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,15 @@ class Star:
 
     @property
     def graph(self) -> Graph:
-        return star_graph(self.m)
+        return Graph(self.p, self.edges())
+
+    @property
+    def p(self) -> int:
+        return self.m + 1
+
+    def edges(self) -> List[Edge]:
+        """The edges of self.graph, read off m without building it."""
+        return [(1, l) for l in self.leaves]
 
     @property
     def center(self) -> int:
@@ -107,34 +114,6 @@ class ColoredIceFlowerSystem(IceFlowerSystem):
         return IceFlowerSystem(list(self.stars))
 
 
-def _lay_out_stars(
-    stars: Sequence[Star],
-    colorings: Optional[Sequence[TotalColoring]],
-    palette: int,
-) -> Tuple[Graph, Optional[TotalColoring], List[int]]:
-    """Disjoint copies of the stars in order, each in canonical layout
-    shifted past the ones before it, so leaf l of the copy centered at c
-    is vertex c + l.  Returns the graph, the combined coloring over the
-    palette bound (None without colorings) and the copies' centers."""
-    edges: List[Tuple[int, int]] = []
-    vc: Dict[int, int] = {}
-    ec: Dict[Tuple[int, int], int] = {}
-    centers: List[int] = []
-    c = 1
-    for i, star in enumerate(stars):
-        centers.append(c)
-        edges.extend((c, c + l) for l in range(1, star.m + 1))
-        if colorings is not None:
-            f = colorings[i]
-            vc[c] = f.vertex(1)
-            for l in range(1, star.m + 1):
-                vc[c + l] = f.vertex(1 + l)
-                ec[(c, c + l)] = f.edge(1, 1 + l)
-        c += star.m + 1
-    theta = TotalColoring(palette, vc, ec) if colorings is not None else None
-    return Graph(c - 1, edges), theta, centers
-
-
 def is_strongly_colored(s: ColoredIceFlowerSystem) -> bool:
     """Every pair of distinct stars admits some compatible leaf-edge pair
     whose merge stays proper total.  A single-star system passes vacuously.
@@ -166,12 +145,14 @@ def build_uniform_fdt_system(n: int, k: int) -> ColoredIceFlowerSystem:
     weight |j + l - (j+l)| = 0, over the palette 2n - 1.  Shifting the
     edge colors to j + l - k for another k fails: for 1 <= k <= n star
     j = k colors each edge like its leaf, for k >= n the palette 2n - 1 - k
-    has fewer than n colors, and k < 0 is no weight.
+    has fewer than n colors, and k < 0 is no weight.  The n stars hold n^2
+    vertices in all; more than MAX_VERTICES is refused before any is built.
     """
     if n < 3:
         raise ValueError("n >= 3 required")
     if k != 0:
         raise ValueError("the uniform construction exists only at k = 0, got k = %d" % k)
+    _check_order(n * n)
     stars: List[Star] = []
     colorings: List[TotalColoring] = []
     for j in range(1, n + 1):
@@ -209,9 +190,7 @@ def saturate(s: ColoredIceFlowerSystem, copies: List[int]) -> SaturateResult:
     if sum(copies) < 1:
         raise ValueError("at least one star copy required")
 
-    stars = [star for star, count in zip(s.stars, copies) for _ in range(count)]
-    colorings = [f for f, count in zip(s.colorings, copies) for _ in range(count)]
-    g, theta, _ = _lay_out_stars(stars, colorings, max(f.palette for f in s.colorings))
+    g, theta, _ = _lay_out(s.stars, copies, s.colorings)
     # Each leaf-edge's support is its star instance's center, so sorting by
     # support orders by instance.  Merges never create or revive a
     # leaf-edge, never recolor a vertex or change the set of edge colors

@@ -360,6 +360,17 @@ def test_unexpected_exception_exits_3_never_as_a_no(tmp_path, monkeypatch):
 
 
 
+def test_integer_arguments_are_read_as_percent_d_writes_them():
+    ok = run(["hamiltonian", "build", "3, 3,3,3", "--budget", "4", "--seed", "-5"])
+    assert ok.exit_code == 0 and ok.payload.startswith("closures 1 partial 0")
+    assert run(["iceflower", "build", "3", "0", "--threads", "0"]).exit_code == 0
+    # argparse still names the type of a rejected option value "int"
+    bad = run(["iceflower", "build", "1_0", "0"])
+    assert (bad.exit_code, bad.note) == (2, "error: argument n: invalid int value: '1_0'")
+    bad = run(["seq", "check", "+2,2,2"])
+    assert (bad.exit_code, bad.note) == (2, "error: sequence: expected integers, got '+2,2,2'")
+
+
 _ROW7 = ",".join(["1"] * 7)
 # two stars of the 4-star system laid side by side, with no merge step
 _S4 = build_uniform_fdt_system(4, 0)
@@ -452,6 +463,49 @@ _TWO_STAR_REPLAY = recompose_colored(CoincideScript(_S4.backbone(), (1, 1, 0, 0)
         pytest.param(
             ["iceflower", "strong-check", "{a}"], {"a": "system 1 1 -\n3 -1 5\n"},
             id="strong-check-star-negative-edge-count",
+        ),
+        # sizes above MAX_VERTICES are refused before anything is allocated
+        pytest.param(
+            ["export", "dot", "{a}"], {"a": "100000000 1\n1 2\n"},
+            id="export-graph-above-vertex-limit",
+        ),
+        pytest.param(
+            ["recompose", "{a}"], {"a": "base 1\n2 1000000000000\nsteps 0\n"},
+            id="recompose-copies-above-vertex-limit",
+        ),
+        pytest.param(
+            ["hamiltonian", "build", "1000000000000,2,2"], {},
+            id="hamiltonian-spine-above-vertex-limit",
+        ),
+        pytest.param(
+            ["iceflower", "build", "100000000", "0"], {},
+            id="iceflower-build-above-vertex-limit",
+        ),
+        pytest.param(
+            ["saturate", "{a}", "--copies", "1000000000000,0,0"],
+            {"a": write_system(build_uniform_fdt_system(3, 0))},
+            id="saturate-copies-above-vertex-limit",
+        ),
+        # integer arguments follow the documents' rule: what %d writes
+        pytest.param(["seq", "check", "+2,2,2"], {}, id="seq-plus-sign"),
+        pytest.param(["seq", "check", "٣,٣,٢"], {}, id="seq-arabic-indic-digits"),
+        pytest.param(["seq", "check", "02,2,2"], {}, id="seq-leading-zero"),
+        pytest.param(["iceflower", "build", "1_0", "0"], {}, id="iceflower-build-underscore"),
+        pytest.param(
+            ["hamiltonian", "build", "3,3,3,3", "--budget", "٤"], {},
+            id="hamiltonian-budget-arabic-indic-digit",
+        ),
+        pytest.param(
+            ["hamiltonian", "build", "3,3,3,3", "--seed", " 1"], {},
+            id="hamiltonian-seed-leading-space",
+        ),
+        pytest.param(
+            ["topcode", "solve", "{a}", "--q", "1:+3"], {"a": "132\n"},
+            id="solve-q-range-plus-sign",
+        ),
+        pytest.param(
+            ["topcode", "solve", "{a}", "--q", "１"], {"a": "132\n"},
+            id="solve-q-fullwidth-digit",
         ),
     ],
 )

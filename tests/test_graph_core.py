@@ -10,6 +10,7 @@ import iceflower
 from iceflower import families
 from iceflower.graph import (
     MAX_CANONICAL_VERTICES,
+    MAX_VERTICES,
     Graph,
     _refine_colors,
     are_isomorphic,
@@ -536,3 +537,10 @@ def test_canonical_form_above_its_vertex_limit_is_a_value_error_not_a_recursion_
         canonical_form(g)
     with pytest.raises(ValueError, match="p <= %d" % MAX_CANONICAL_VERTICES):
         are_isomorphic(g, g)
+
+
+def test_graph_order_above_the_vertex_limit_is_refused_before_allocation():
+    assert Graph(1).p == 1
+    for p in (MAX_VERTICES + 1, 10 ** 15):
+        with pytest.raises(ValueError, match="graphs take p <= %d vertices, got p = %d" % (MAX_VERTICES, p)):
+            Graph(p, [(1, 2)])

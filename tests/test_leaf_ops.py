@@ -9,6 +9,7 @@ from iceflower.coloring import TotalColoring, is_proper_total
 from iceflower.leafops import (
     LeafEdge,
     Surgery,
+    _lay_out,
     colored_compatible,
     colored_leaf_coincide,
     colored_leaf_split,
@@ -18,6 +19,7 @@ from iceflower.leafops import (
     leaf_edges,
     leaf_split,
 )
+from iceflower.system import make_star
 from tests.conftest import greedy_proper_total, random_connected_graph
 
 
@@ -108,6 +110,63 @@ def test_disjoint_union_offsets():
     assert shift == 2
     assert g.p == 5 and g.q == 3
     assert g.has_edge(3, 4) and g.has_edge(4, 5)
+
+
+def test_lay_out_is_the_disjoint_union_chain_with_colors_carried():
+    rng = random.Random(17)
+    for _ in range(60):
+        parts = [random_connected_graph(rng, rng.randrange(2, 6), rng.randrange(0, 3))
+                 for _ in range(rng.randrange(1, 4))]
+        counts = [rng.randrange(0, 3) for _ in parts]
+        counts[rng.randrange(len(parts))] += 1
+        colorings = [greedy_proper_total(h) for h in parts]
+        g, theta, shifts = _lay_out(parts, counts, colorings)
+        copies = [(h, f) for h, f, a in zip(parts, colorings, counts) for _ in range(a)]
+        want, want_shifts = copies[0][0], [0]
+        for h, _ in copies[1:]:
+            want, shift = disjoint_union(want, h)
+            want_shifts.append(shift)
+        assert (g, shifts) == (want, want_shifts)
+        assert _lay_out(parts, counts) == (g, None, shifts)
+        assert theta.palette == max(f.palette for f in colorings)
+        for (h, f), s in zip(copies, shifts):
+            assert all(theta.vertex(v + s) == f.vertex(v) for v in h.vertices())
+            assert all(theta.edge(u + s, v + s) == f.edge(u, v) for u, v in h.edges())
+        assert len(theta.vertex_colors) == g.p and len(theta.edge_colors) == g.q
+
+
+def test_stars_lay_out_as_their_graphs_do():
+    stars = [make_star(m) for m in (2, 4, 3)]
+    assert _lay_out(stars, (2, 0, 3)) == _lay_out([s.graph for s in stars], (2, 0, 3))
+
+
+def test_surgery_merges_exactly_the_pairs_colored_compatible_allows():
+    """One color rule: on colorings drawn at random, proper or not,
+    colored_compatible holds exactly when each support has the other
+    leaf's color and the edge colors agree, and a merge of leaf-edges on
+    two stars is refused for color exactly when it does not hold."""
+    rng = random.Random(23)
+    g, _ = disjoint_union(star_graph(3), star_graph(2))
+    allowed = 0
+    for _ in range(200):
+        vc = {v: rng.randint(1, 2) for v in g.vertices()}
+        f = TotalColoring(2, vc, {e: rng.randint(1, 2) for e in g.edges()})
+        for e1 in (LeafEdge(1, 2), LeafEdge(1, 3), LeafEdge(1, 4)):
+            for e2 in (LeafEdge(5, 6), LeafEdge(5, 7)):
+                ok = colored_compatible(g, f, e1, e2)
+                assert ok == (
+                    vc[e1.support] == vc[e2.leaf]
+                    and vc[e2.support] == vc[e1.leaf]
+                    and f.edge(*e1) == f.edge(*e2)
+                )
+                try:
+                    Surgery(g, f).merge(e1, e2)
+                except ValueError as err:
+                    assert str(err) == "leaf-edges are not color-compatible" and not ok
+                else:
+                    assert ok
+                    allowed += 1
+    assert 50 < allowed < 1000
 
 
 def test_colored_split_preserves_properness():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from iceflower.graph import (
     MAX_CANONICAL_VERTICES,
+    MAX_VERTICES,
     Graph,
     are_isomorphic,
     canonical_form,
@@ -26,8 +27,9 @@ from iceflower.families import (
     star_graph,
 )
 from iceflower.coloring import TotalColoring, is_proper_total
-from iceflower.leafops import LeafEdge, colored_leaf_coincide, disjoint_union, leaf_coincide
+from iceflower.leafops import LeafEdge, Surgery, colored_leaf_coincide, disjoint_union, leaf_coincide
 from iceflower.lattice import (
+    ClosureResult,
     CoincideScript,
     NoClosure,
     _chord_graphs,
@@ -45,7 +47,13 @@ from iceflower.lattice import (
     spanning_lattice_enumerate,
     uncolored_lattice_member,
 )
-from iceflower.system import ColoredIceFlowerSystem, IceFlowerSystem, build_uniform_fdt_system, make_star
+from iceflower.system import (
+    ColoredIceFlowerSystem,
+    IceFlowerSystem,
+    build_uniform_fdt_system,
+    make_star,
+    saturate,
+)
 from tests.test_formats import _graphs
 from tests.conftest import random_connected_graph
 
@@ -483,6 +491,85 @@ def test_haired_cycles_and_closures_match_one_step_chain():
                 assert got == _outcome(_one_step_closures, hc)
                 checked += 1
     assert checked > 100
+
+
+def _surgery_closures(hc, exhaustive_limit=20, seed=0, samples=2000):
+    """The earlier closing sweep: the same chord sets, each replayed
+    through leaf merges on hc.graph itself, spine vertex by spine vertex."""
+    n = len(hc.spine)
+    residual = [len(hc.pendants[v]) for v in hc.spine]
+    total = sum(residual)
+    if total % 2:
+        raise NoClosure("odd pendant count: no perfect pairing exists")
+    if total == 0:
+        return ClosureResult([Graph(*canonical_form(hc.graph))], False)
+    partial = total > exhaustive_limit
+    if not partial:
+        chord_sets = list(_chord_graphs(n, residual))
+    else:
+        rng = random.Random(seed)
+        slots = [i for i in range(n) for _ in range(residual[i])]
+        seen_sets = set()
+        for _ in range(samples):
+            order = list(slots)
+            rng.shuffle(order)
+            pairing = [tuple(sorted(pair)) for pair in zip(order[::2], order[1::2])]
+            if all(1 < b - a < n - 1 for a, b in pairing) and len(set(pairing)) == len(pairing):
+                seen_sets.add(tuple(sorted(pairing)))
+        chord_sets = [list(c) for c in sorted(seen_sets)]
+        if not chord_sets:
+            chord_sets = list(itertools.islice(_chord_graphs(n, residual), 1))
+    if not chord_sets:
+        raise NoClosure("no pairing avoids multi-edges")
+    keys = set()
+    for chords in chord_sets:
+        surgery = Surgery(hc.graph)
+        pend = [iter(hc.pendants[v]) for v in hc.spine]
+        for i, j in sorted(chords):
+            surgery.merge(LeafEdge(hc.spine[i], next(pend[i])), LeafEdge(hc.spine[j], next(pend[j])))
+        keys.add(canonical_form(surgery.finish()[0]))
+    return ClosureResult([Graph(*k) for k in sorted(keys)], partial)
+
+
+def test_closures_of_witness_haired_cycles_match_the_merge_replay():
+    """Witness haired cycles keep the graph's own ids on the spine, in
+    tour order, with pendants numbered past them; the closures built on
+    spine positions must equal the ones replayed through leaf merges."""
+    rng = random.Random(53)
+    witnesses = []
+    while len(witnesses) < 40:
+        p = rng.randrange(4, 9)
+        w = hamiltonian_witness(random_connected_graph(rng, p, rng.randrange(0, 2 * p)))
+        if w is not None:
+            witnesses.append(w)
+    sampled = 0
+    for w in witnesses:
+        for kwargs in ({}, {"exhaustive_limit": 0, "samples": 1}, {"exhaustive_limit": 0, "samples": 10},
+                       {"exhaustive_limit": 2, "seed": 7, "samples": 200}):
+            got = _outcome(lambda h: close_to_hamiltonian(h, **kwargs), w)
+            assert got == _outcome(lambda h: _surgery_closures(h, **kwargs), w), kwargs
+            sampled += not isinstance(got, str) and got.partial
+    assert sum(w.pendant_count() > 20 for w in witnesses) > 0 and sampled > 60
+
+
+def test_builders_check_the_vertex_limit_before_they_allocate():
+    limit = "graphs take p <= %d vertices, got p = %d"
+    hc = build_haired_cycle([MAX_VERTICES - 1, 2, 2])  # exactly at the limit
+    assert hc.graph.p == MAX_VERTICES and hc.pendant_count() == MAX_VERTICES - 3
+    huge = 10 ** 12  # a layout this size would need terabytes
+    with pytest.raises(ValueError, match=limit % (MAX_VERTICES, MAX_VERTICES + 1)):
+        build_haired_cycle([MAX_VERTICES, 2, 2])
+    with pytest.raises(ValueError, match=limit % (MAX_VERTICES, huge + 1)):
+        build_haired_cycle([huge, 2, 2])
+    base = IceFlowerSystem([make_star(2)])
+    with pytest.raises(ValueError, match=limit % (MAX_VERTICES, 3 * huge)):
+        recompose(CoincideScript(base, (huge,), ()))
+    S = build_uniform_fdt_system(3, 0)
+    with pytest.raises(ValueError, match=limit % (MAX_VERTICES, 3 * huge + 3)):
+        saturate(S, [huge, 1, 0])
+    side = int(MAX_VERTICES ** 0.5) + 1  # side stars of side vertices each
+    with pytest.raises(ValueError, match=limit % (MAX_VERTICES, side * side)):
+        build_uniform_fdt_system(side, 0)
 
 
 def _chord_graphs_reference(n, residual):
