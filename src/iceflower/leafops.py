@@ -13,8 +13,8 @@ return the old-id -> new-id map, so sequences of moves stay replayable.
 A whole batch of merges runs through one Surgery on fixed ids and is
 renumbered once at the end, with the same result as the one-step chain.
 Every side-by-side layout of graphs or stars, colored or not, comes from
-one function, _lay_out, and every merge obeys one color rule,
-_compatible.
+one function, _lay_out, and every merge obeys one color rule, written
+once as a key and its mirror by _color_key.
 """
 from __future__ import annotations
 
@@ -30,14 +30,18 @@ class LeafEdge(NamedTuple):
     leaf: int
 
 
+def _color_key(vc: Dict[int, int], ec: Dict[Edge, int], e: LeafEdge) -> Tuple[tuple, tuple]:
+    """The one color rule for merging two leaf-edges, as a key: e's colors
+    (support x, leaf y, edge c), and the colors (y, x, c) that its partner
+    must have.  So each support has the other leaf's color, and the two
+    edge colors are equal."""
+    x, y, c = vc[e.support], vc[e.leaf], ec[_norm_edge(*e)]
+    return (x, y, c), (y, x, c)
+
+
 def _compatible(vc: Dict[int, int], ec: Dict[Edge, int], e1: LeafEdge, e2: LeafEdge) -> bool:
-    """The one color rule for merging two leaf-edges: each support has the
-    other leaf's color, and the two edge colors are equal."""
-    return (
-        vc[e1.support] == vc[e2.leaf]
-        and vc[e2.support] == vc[e1.leaf]
-        and ec[_norm_edge(*e1)] == ec[_norm_edge(*e2)]
-    )
+    """e2's colors are the colors that e1's partner must have."""
+    return _color_key(vc, ec, e2)[0] == _color_key(vc, ec, e1)[1]
 
 
 def check_leaf_edge(

@@ -4,10 +4,12 @@ A system is an ordered list of stars K_{1,m_j} (m_j >= 2).  A colored
 system attaches a proper total coloring to each star; it is *strongly
 colored* when every pair of distinct stars can be merged through some
 pair of color-compatible leaf-edges.  The uniform construction below
-builds n stars on n-1 leaves each whose every edge weight equals 0, and
-is strongly colored by design: star j has center color j, leaf colors
-[1,n] minus j, and the edge to the leaf colored l gets color j + l, so
-the coupling edge colors agree automatically for every star pair.
+builds, for every k >= 0, n stars on n-1 leaves each whose every edge
+weight equals k, and is strongly colored by design: star j has center
+color j, leaf colors [1,n] minus j, and the edge to the leaf colored l
+gets color j + l + k, so the coupling edge colors agree automatically
+for every star pair.  saturate merges star copies greedily, finding each
+leaf-edge's partners by the color key of leafops._color_key.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .graph import Edge, Graph, _check_order, is_delta_saturated
 from .coloring import TotalColoring, is_proper_total, bfdt
-from .leafops import LeafEdge, Surgery, _lay_out, leaf_coincide_across, leaf_edges
+from .leafops import LeafEdge, Surgery, _color_key, _lay_out, leaf_coincide_across, leaf_edges
 
 
 @dataclass(frozen=True)
@@ -121,37 +123,41 @@ def is_strongly_colored(s: ColoredIceFlowerSystem) -> bool:
     Leaf-edges of two different stars pass every structural check of a
     merge, and on proper star colorings compatibility keeps the merge
     proper (see leafops.Surgery).  So a pair of stars merges exactly when
-    some (center, leaf, edge) color triple (x, y, c) of one star is
-    matched by the triple (y, x, c) of the other.  (The compatibility
-    equalities are symmetric, so unordered pairs suffice.)
+    some leaf-edge of one star has the colors that a leaf-edge of the
+    other wants, by leafops._color_key.  (The rule is symmetric, so
+    unordered pairs suffice.)
     """
-    triples = [
-        {(f.vertex(1), f.vertex(l), f.edge(1, l)) for l in star.leaves}
+    keys = [
+        [_color_key(f.vertex_colors, f.edge_colors, LeafEdge(1, l)) for l in star.leaves]
         for star, f in zip(s.stars, s.colorings)
     ]
+    have = [{own for own, _ in ks} for ks in keys]
     return all(
-        any((y, x, c) in triples[j] for x, y, c in triples[i])
+        any(want in have[j] for _, want in keys[i])
         for i in range(s.n)
         for j in range(i + 1, s.n)
     )
 
 
 def build_uniform_fdt_system(n: int, k: int) -> ColoredIceFlowerSystem:
-    """n stars K_{1,n-1} with every edge weight equal to k, which exists
-    only at k = 0.
+    """n stars K_{1,n-1} with every edge weight equal to k, for any k >= 0.
 
     Star j: center colored j; leaves colored [1,n] \\ {j} in ascending
-    order; the edge to the leaf colored l is colored j + l, which has
-    weight |j + l - (j+l)| = 0, over the palette 2n - 1.  Shifting the
-    edge colors to j + l - k for another k fails: for 1 <= k <= n star
-    j = k colors each edge like its leaf, for k >= n the palette 2n - 1 - k
-    has fewer than n colors, and k < 0 is no weight.  The n stars hold n^2
-    vertices in all; more than MAX_VERTICES is refused before any is built.
+    order; the edge to the leaf colored l is colored j + l + k, over the
+    palette 2n - 1 + k, which holds the largest edge color n + (n-1) + k.
+    Every weight is |j + l - (j + l + k)| = k.  Each star is proper: the
+    leaf colors differ from the center's j, the edge color j + l + k
+    exceeds both j and l, and it differs across the leaves because l does.
+    The system is strongly colored: star i's leaf colored j and star j's
+    leaf colored i share the edge color i + j + k, so their leaf-edges are
+    compatible.  A negative k is no weight and is refused.  The n stars
+    hold n^2 vertices in all; more than MAX_VERTICES is refused before any
+    is built.
     """
     if n < 3:
         raise ValueError("n >= 3 required")
-    if k != 0:
-        raise ValueError("the uniform construction exists only at k = 0, got k = %d" % k)
+    if k < 0:
+        raise ValueError("k >= 0 required, got k = %d" % k)
     _check_order(n * n)
     stars: List[Star] = []
     colorings: List[TotalColoring] = []
@@ -161,27 +167,30 @@ def build_uniform_fdt_system(n: int, k: int) -> ColoredIceFlowerSystem:
         ec: Dict[Tuple[int, int], int] = {}
         for idx, l in enumerate(leaf_colors):
             vc[2 + idx] = l
-            ec[(1, 2 + idx)] = j + l
+            ec[(1, 2 + idx)] = j + l + k
         stars.append(make_star(n - 1))
-        colorings.append(TotalColoring(2 * n - 1, vc, ec))
-    return ColoredIceFlowerSystem(stars, colorings, fdt_constant=0)
+        colorings.append(TotalColoring(2 * n - 1 + k, vc, ec))
+    return ColoredIceFlowerSystem(stars, colorings, fdt_constant=k)
 
 
 @dataclass
 class SaturateResult:
     graph: Graph
     coloring: TotalColoring
-    saturated: bool  # did greedy coinciding reach a degree-(1 or Delta) graph?
+    saturated: bool  # is every vertex at degree 1 or Delta?
 
 
 def saturate(s: ColoredIceFlowerSystem, copies: List[int]) -> SaturateResult:
     """Greedy colored coinciding over a multiset of star copies.
 
-    Lays out copies[j] disjoint copies of star j, then repeatedly merges
-    the first applicable leaf-edge pair in ascending (star instance, leaf
-    color) order until no compatible pair remains.  Whether the result is
-    degree-saturated is reported, not required: the pairing rule is
-    greedy and success can depend on the input multiplicities.
+    Lays out copies[j] disjoint copies of star j.  Then, in ascending
+    (star instance, leaf color) order, each leaf-edge that is still there
+    merges with the first later leaf-edge that Surgery.merge accepts.
+    Whether the result is Delta-saturated is reported, not required.  It
+    does not depend on the merges: every merge deletes one leaf at each
+    support and joins the two supports, so no center's degree ever
+    changes.  So the result is Delta-saturated exactly when every star
+    with copies > 0 has the same m, whatever was merged.
     """
     if len(copies) != s.n:
         raise ValueError("need one multiplicity per star")
@@ -196,18 +205,32 @@ def saturate(s: ColoredIceFlowerSystem, copies: List[int]) -> SaturateResult:
     # leaf-edge, never recolor a vertex or change the set of edge colors
     # at a vertex, and only add edges between supports: a pair rejected
     # once stays rejected, so one pass finds every merge a rescan would.
+    # Nor do merges change a leaf-edge's color key, and Surgery.merge
+    # rejects every pair whose keys do not match.  So e1 need only try the
+    # later entries of the group keyed by the colors it wants, in order.
     les = sorted(leaf_edges(g), key=lambda e: (e.support, theta.vertex(e.leaf), e.leaf))
+    keys = [_color_key(theta.vertex_colors, theta.edge_colors, e) for e in les]
+    # Each group holds its key's indices into les last first, so the next
+    # in processing order is on top.  Processed entries are popped off the
+    # top, and a merged partner is deleted where it stands.  A leaf goes
+    # only as an e1, then processed, or as a partner, so no entry left
+    # above ai names a deleted leaf.
+    groups: Dict[tuple, List[int]] = {}
+    for i in reversed(range(len(les))):
+        groups.setdefault(keys[i][0], []).append(i)
     surgery = Surgery(g, theta)
     for ai, e1 in enumerate(les):
         if e1.leaf in surgery.gone:
             continue
-        for e2 in les[ai + 1 :]:
-            if e2.leaf in surgery.gone:
-                continue
+        group = groups.get(keys[ai][1], [])
+        while group and group[-1] <= ai:
+            group.pop()
+        for pos in range(len(group) - 1, -1, -1):
             try:
-                surgery.merge(e1, e2)
+                surgery.merge(e1, les[group[pos]])
             except ValueError:
                 continue
+            del group[pos]
             break
     g, _, theta = surgery.finish()
     return SaturateResult(g, theta, is_delta_saturated(g))

@@ -237,7 +237,11 @@ def test_iceflower_build_and_strong_check(tmp_path):
     assert r3.exit_code == 1
 
     assert run(["iceflower", "build", "2", "0"]).exit_code == 2
-    assert run(["iceflower", "build", "4", "9"]).exit_code == 2
+    assert run(["iceflower", "build", "4", "-1"]).exit_code == 2
+    r4 = run(["iceflower", "build", "4", "9"])
+    assert r4.exit_code == 0 and read_system(r4.payload).fdt_constant == 9
+    r5 = run(["iceflower", "strong-check", _file(tmp_path, "s9.system", r4.payload)])
+    assert r5.exit_code == 0 and "strongly colored" in r5.payload
 
 
 def test_strong_check_rejects_a_single_leaf_star_as_format_error(tmp_path):

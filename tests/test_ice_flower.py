@@ -7,6 +7,7 @@ from iceflower.families import path_graph, star_graph
 from iceflower.coloring import TotalColoring, bfdt, is_proper_total
 from iceflower.leafops import (
     LeafEdge,
+    Surgery,
     colored_compatible,
     colored_leaf_coincide,
     disjoint_union,
@@ -109,13 +110,20 @@ def test_uniform_construction_center_colors_are_distinct():
 def test_uniform_rejects_bad_parameters():
     with pytest.raises(ValueError):
         build_uniform_fdt_system(2, 0)
-    with pytest.raises(ValueError):
-        build_uniform_fdt_system(3, 5)  # no valid edge color at that offset
     for n in range(3, 12):
-        for k in range(-1, 2 * n + 1):
-            if k != 0:
-                with pytest.raises(ValueError, match="only at k = 0"):
-                    build_uniform_fdt_system(n, k)
+        with pytest.raises(ValueError, match="k >= 0 required, got k = -1"):
+            build_uniform_fdt_system(n, -1)
+
+
+def test_uniform_construction_at_every_constant():
+    for n in range(3, 13):
+        for k in range(1, 3 * n):
+            s = build_uniform_fdt_system(n, k)
+            assert s.fdt_constant == k and s.sizes() == tuple([n - 1] * n)
+            assert all(f.palette == 2 * n - 1 + k for f in s.colorings)
+            assert is_strongly_colored(s)
+    for n, k in ((3, 1), (3, 5), (4, 2), (5, 7)):
+        assert _strongly_colored_by_trial_merges(build_uniform_fdt_system(n, k))
 
 
 def _shifted_uniform_system(n, k):
@@ -288,13 +296,10 @@ def _rescan_saturate(s, copies):
 
 def test_saturate_matches_rescan_on_random_subsystems():
     rng = random.Random(53)
-    cases = 0
-    while cases < 120:
+    cases = []
+    while len(cases) < 120:
         n, k = rng.randrange(3, 7), rng.randrange(0, 3)
-        try:
-            full = build_uniform_fdt_system(n, k)
-        except ValueError:
-            continue
+        full = build_uniform_fdt_system(n, k)
         picked = rng.sample(range(n), rng.randrange(1, n + 1))
         colorings = []
         for j in picked:  # shuffle the leaves so leaf ids and colors disagree in order
@@ -305,8 +310,37 @@ def test_saturate_matches_rescan_on_random_subsystems():
             [full.stars[j] for j in picked], colorings, fdt_constant=k
         )
         copies = [rng.randrange(0, 4) for _ in picked]
+        if sum(copies) > 0:
+            cases.append((sub, copies))
+    for _ in range(150):  # mixed star sizes under random proper colorings
+        s = _random_colored_system(rng)
+        copies = [rng.randrange(0, 4) for _ in range(s.n)]
         if sum(copies) == 0:
-            continue
-        res = saturate(sub, copies)
-        assert (res.graph, res.coloring, res.saturated) == _rescan_saturate(sub, copies)
-        cases += 1
+            copies[0] = 1
+        cases.append((s, copies))
+    flags = []
+    for s, copies in cases:
+        res = saturate(s, copies)
+        assert (res.graph, res.coloring, res.saturated) == _rescan_saturate(s, copies)
+        used = {star.m for star, c in zip(s.stars, copies) if c > 0}
+        assert res.saturated == (len(used) == 1)
+        flags.append(res.saturated)
+    assert flags.count(True) >= 50 and flags.count(False) >= 50
+
+
+def test_saturate_tries_only_color_partners(monkeypatch):
+    calls = []
+    merge = Surgery.merge
+
+    def counted(self, e1, e2):
+        calls.append((e1, e2))
+        return merge(self, e1, e2)
+
+    monkeypatch.setattr(Surgery, "merge", counted)
+    res = saturate(build_uniform_fdt_system(3, 0), [50, 0, 0])
+    assert calls == [] and res.graph.q == 100 and res.saturated
+    for c in (2, 16):
+        calls.clear()
+        res = saturate(build_uniform_fdt_system(6, 0), [c] * 6)
+        merges = 6 * c * 5 - res.graph.q
+        assert merges > 0 and len(calls) == merges
