@@ -41,6 +41,21 @@ class TotalColoring:
             if not 0 <= c <= self.palette:
                 raise ValueError("edge %s color %d outside 0..%d" % (e, c, self.palette))
 
+    @classmethod
+    def _trusted(
+        cls, palette: int, vertex_colors: Dict[int, int], edge_colors: Dict[EdgeKey, int]
+    ) -> "TotalColoring":
+        """A coloring built without __post_init__, for a caller that already
+        holds its invariants: palette >= 1, every edge key (u, v) with
+        u < v, and every color in 0..palette.  The DNSP solver's
+        realizations hold them by construction (keys from _norm_edge,
+        palette the largest label, at least 1)."""
+        tc = object.__new__(cls)
+        tc.palette = palette
+        tc.vertex_colors = vertex_colors
+        tc.edge_colors = edge_colors
+        return tc
+
     def vertex(self, v: int) -> int:
         return self.vertex_colors[v]
 

@@ -34,6 +34,18 @@ class TopcodeMatrix:
             if any(v < 0 for v in row):
                 raise ValueError("entries must be non-negative")
 
+    @classmethod
+    def _trusted(cls, X: Tuple[int, ...], E: Tuple[int, ...], Y: Tuple[int, ...]) -> "TopcodeMatrix":
+        """A matrix built without __post_init__, for solve_dnsp only: its
+        rows are tuples of the same length q >= 1, read from digits, so no
+        entry is negative."""
+        m = object.__new__(cls)
+        fields = m.__dict__  # a frozen dataclass refuses setattr
+        fields["X"] = X
+        fields["E"] = E
+        fields["Y"] = Y
+        return m
+
     @property
     def q(self) -> int:
         return len(self.X)
@@ -146,8 +158,8 @@ def _assemble(
 
     It depends on the X and Y rows only, so solve_dnsp builds it once for
     each (X, Y) pair and hands the same Graph to every middle row E read
-    with it; a Graph is never changed after it is built.  _color adds
-    each E's edge colors.
+    with it; a Graph is never changed after it is built.  _color, or
+    solve_dnsp's own trusted coloring, adds each E's edge colors.
     """
     edges = [_norm_edge(u, v) for u, v in ends]
     try:
@@ -231,22 +243,42 @@ def realize_topcode(
     return None
 
 
+_Reads = List[Tuple[Tuple[int, int], ...]]
 _Steps = List[Dict[int, List[Tuple[int, int, int]]]]
 
 
+def _digit_reads(d: str) -> _Reads:
+    """reads[p]: the (end, value) readings of one segment that starts at
+    d[p], wider first: two digits unless they would start with '0' (see
+    _readings) or run past the end, then one.  solve_dnsp reads them once
+    per call and every step table takes its values from them.  The list
+    runs on to 2 len(d) with no readings, since a Y-row table visits
+    positions up to len(d) + q - 2 (see _row_steps)."""
+    n = len(d)
+    reads: _Reads = [
+        ((p + 2, int(d[p : p + 2])), (p + 1, int(d[p])))
+        if p + 1 < n and d[p] != "0"
+        else ((p + 1, int(d[p])),)
+        for p in range(n)
+    ]
+    return reads + [()] * n
+
+
 def _row_steps(
-    d: str, start: int, q: int, lo: int, hi: int, last_start: Optional[int] = None
+    reads: _Reads, start: int, q: int, lo: int, hi: int, last_start: Optional[int] = None
 ) -> _Steps:
     """steps[i][p]: the (end, value, forced) readings of segment i at
-    position p of a row of q segments that starts at d[start] (or at any
+    position p of a row of q segments that starts at start (or at any
     position up to last_start) and ends anywhere in lo..hi, wider first.
 
-    A reading is kept only when the row has a completion from it: the
-    segments after it, at 1-2 digits each and none of two digits starting
-    with '0' (see _readings), can be read to an end in lo..hi.  The X
-    row, read from 0, ends in the range its Y row leaves it; the Y row
-    ends at len(d) exactly, so its entries depend on i, p and len(d)
-    only, and one table with last_start serves every Y-row start.
+    The readings come from reads = _digit_reads(d), which holds every
+    position's values for the whole string; only which of them a table
+    keeps, and their forced masks, depend on lo..hi.  A reading is kept
+    only when the row has a completion from it: the segments after it can
+    be read to an end in lo..hi.  The X row, read from 0, ends in the
+    range its Y row leaves it; the Y row ends at len(d) exactly, so its
+    entries depend on i, p and len(d) only, and one table with last_start
+    serves every Y-row start.
 
     forced is a bitmask of the values that every completion of the row
     from this reading reads: the reading's own value, and those that all
@@ -258,21 +290,18 @@ def _row_steps(
     after: Dict[int, List[Tuple[int, int, int]]] = {}
     for i in range(q - 1, -1, -1):
         left = q - 1 - i
+        first_end, last_end = lo - 2 * left, hi - left  # each later segment reads 1-2 digits
+        table = steps[i]
         for p in range(start + i, last + 2 * i + 1):
             readings = []
-            for w in (2, 1):
-                end = p + w
-                if end + left <= hi and end + 2 * left >= lo and (w == 1 or d[p] != "0"):
-                    v = int(d[p:end])
-                    forced = 1 << v
-                    if left:
-                        nxt = after[end]
-                        if not nxt:  # leading zeros leave the rest no reading
-                            continue
-                        forced |= nxt[0][2] & nxt[-1][2]  # one or two readings
-                    readings.append((end, v, forced))
-            steps[i][p] = readings
-        after = steps[i]
+            for end, v in reads[p]:
+                if first_end <= end <= last_end:
+                    if not left:
+                        readings.append((end, v, 1 << v))
+                    elif nxt := after[end]:  # leading zeros leave the rest no reading
+                        readings.append((end, v, 1 << v | (nxt[0][2] & nxt[-1][2])))  # one or two
+            table[p] = readings
+        after = table
     return steps
 
 
@@ -305,29 +334,30 @@ def _tree_rows(
     xs, ys = [0] * q, [0] * q
     found: Dict[int, List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = {}
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            a = parent[a]
-        return a
-
     def place(i: int, px: int, py: int, seen: int) -> None:
         if i == q:
             found.setdefault(px, []).append((tuple(xs), tuple(ys)))
             return
         fewest = most - 2 * (q - i - 1)  # each column left adds <= 2 labels
+        y_readings = y_steps[i][py]
         for ex, x, fx in x_steps[i][px]:
             bound = seen | fx
             if bound.bit_count() > most:
                 continue
-            rx = find(x)
+            rx = x  # find(x), inlined like find(y) below
+            while parent[rx] != rx:
+                rx = parent[rx]
             xs[i] = x
-            for ey, y, fy in y_steps[i][py]:
+            seen_x = seen | 1 << x
+            for ey, y, fy in y_readings:
                 if (bound | fy).bit_count() > most:
                     continue
-                grown = seen | 1 << x | 1 << y
+                grown = seen_x | 1 << y
                 if grown.bit_count() < fewest:
                     continue
-                ry = find(y)
+                ry = y
+                while parent[ry] != ry:
+                    ry = parent[ry]
                 if rx == ry:
                     continue
                 parent[rx] = ry
@@ -352,18 +382,22 @@ def solve_dnsp(
     at any o1 in lo..hi, the range o2 leaves for it (o1 in q..2q and
     o2 - o1 in q..2q), and prunes on loops, repeated pairs, cycles, label
     counts and the values each row must still read (see _tree_rows).  The
-    Y row's step table is built once per q for all o2; the X row's
-    depends on lo..hi, so each o2 builds its own.
+    digit values are read once per call (_digit_reads), and the Y row's
+    step table is built from them once per q for all o2.  Each o2 builds
+    its own X table from the same values: only which readings fit the X
+    row's end range lo..hi, and their forced masks, depend on o2.
 
     Each passing (X, Y) is realized once (_assemble) and its Graph is
     shared by every solution it is part of.  The middle row E = d[o1:o2],
     which the tree test never constrains, is read out once for each o1
     with a passing (X, Y), and each reading only adds its edge colors.
-    Results come out per q in cutting-stream order: segment widths of X,
-    then E, then Y, width 2 before width 1.  No two cuttings share a
-    width pattern, so that sort key alone fixes the order, whatever order
-    the searches found them in.  There is no dedup: a cutting is
-    bit-exact, so different cuttings give different matrices.
+    The solver builds these outputs itself, so it makes them through the
+    _trusted constructors, which skip the checks of values it already
+    holds to.  Results come out per q in cutting-stream order: segment
+    widths of X, then E, then Y, width 2 before width 1.  No two cuttings
+    share a width pattern, so that sort key alone fixes the order,
+    whatever order the searches found them in.  There is no dedup: a
+    cutting is bit-exact, so different cuttings give different matrices.
 
     Every value is at most 99, so a matrix has at most 100 distinct
     labels, while a tree with q edges needs q+1 of them: every q >= 100
@@ -371,12 +405,11 @@ def solve_dnsp(
     search's recursion depth by 99.
     """
     _check_number_string(d)
-    if isinstance(q_values, range):  # may be vast: read its ends, never list it
-        qs: Collection[int] = q_values
-        lowest = min(q_values[0], q_values[-1]) if q_values else 0
-    else:
-        qs = set(q_values)
-        lowest = min(qs, default=0)
+    # a range may be vast: read its ends, never list it
+    qs: Collection[int] = q_values if isinstance(q_values, range) else set(q_values)
+    if not qs:
+        raise ValueError("no q value was given")
+    lowest = min(qs[0], qs[-1]) if isinstance(qs, range) else min(qs)
     if lowest < 1:
         raise ValueError("q values must be positive")
     n = len(d)
@@ -387,15 +420,16 @@ def solve_dnsp(
             % (n, n)
         )
     out: List[Tuple[TopcodeMatrix, Graph, TotalColoring]] = []
+    reads = _digit_reads(d)
     for q in viable:
         if q >= 100:
             continue
         first, last = max(2 * q, n - 2 * q), min(4 * q, n - q)
-        y_steps = _row_steps(d, first, q, n, n, last)
+        y_steps = _row_steps(reads, first, q, n, n, last)
         found: List[Tuple[TopcodeMatrix, Graph, TotalColoring]] = []
         for o2 in range(first, last + 1):
             lo, hi = max(q, o2 - 2 * q), min(2 * q, o2 - q)
-            for o1, pairs in _tree_rows(_row_steps(d, 0, q, lo, hi), y_steps, o2).items():
+            for o1, pairs in _tree_rows(_row_steps(reads, 0, q, lo, hi), y_steps, o2).items():
                 trees = []
                 for xs, ys in pairs:
                     frame = _distinct_labels(xs, ys)
@@ -404,11 +438,19 @@ def solve_dnsp(
                             "rows X=%s Y=%s passed the tree search but do not realize as a tree"
                             % (xs, ys)
                         )
-                    trees.append((xs, ys, frame))
+                    g, edges, vc = frame
+                    # the palette is the largest label (see _color): the
+                    # vertex part once per pair, the edge part once per E
+                    trees.append((xs, ys, g, edges, vc, max(1, *xs, *ys)))
                 for es in _readings(d, o1, o2, q):
+                    top = max(es)
                     found.extend(
-                        (TopcodeMatrix(xs, es, ys), frame[0], _color(frame, es))
-                        for xs, ys, frame in trees
+                        (
+                            TopcodeMatrix._trusted(xs, es, ys),
+                            g,
+                            TotalColoring._trusted(max(labels, top), dict(vc), dict(zip(edges, es))),
+                        )
+                        for xs, ys, g, edges, vc, labels in trees
                     )
         # a value below 10 is one digit wide, any other two (no leading
         # zero), so this key is the wider-first order of cuttings(d, q)

@@ -19,6 +19,7 @@ from iceflower.topcode import (
     _assemble,
     _check_number_string,
     _color,
+    _digit_reads,
     _readings,
     _row_steps,
     _tree_rows,
@@ -239,6 +240,12 @@ def test_solve_dnsp_looks_up_only_the_q_that_fit_in_a_vast_range():
         solve_dnsp("132", range(2, 10**12))
 
 
+def test_solve_dnsp_without_q_values_says_so():
+    for empty in ([], (), set(), range(5, 5), range(3, 1)):
+        with pytest.raises(ValueError, match="no q value was given"):
+            solve_dnsp("132", empty)
+
+
 def test_solve_dnsp_142536_has_no_tree():
     # length 6 forces the single all-1-digit cutting; its two columns
     # (1,2,3) and (4,5,6) are vertex-disjoint, so nothing connected
@@ -455,13 +462,14 @@ def test_one_search_per_y_start_is_the_union_of_the_per_split_searches():
     checked = 0
     for d, qs in _seeded_digit_strings(41, 120):
         n = len(d)
+        reads = _digit_reads(d)
         for q in qs:
             for o2 in range(max(2 * q, n - 2 * q), min(4 * q, n - q) + 1):
                 lo, hi = max(q, o2 - 2 * q), min(2 * q, o2 - q)
                 merged = [
                     (o1,) + pair
                     for o1, pairs in _tree_rows(
-                        _row_steps(d, 0, q, lo, hi), _row_steps(d, o2, q, n, n), o2
+                        _row_steps(reads, 0, q, lo, hi), _row_steps(reads, o2, q, n, n), o2
                     ).items()
                     for pair in pairs
                 ]
@@ -515,10 +523,10 @@ def test_forced_masks_equal_the_values_every_completion_reads():
         n = len(d)
         for q in qs:
             first, last = max(2 * q, n - 2 * q), min(4 * q, n - q)
-            checked += _check_forced(d, _row_steps(d, first, q, n, n, last), [n])
+            checked += _check_forced(d, _row_steps(_digit_reads(d), first, q, n, n, last), [n])
             for o2 in range(first, last + 1):
                 lo, hi = max(q, o2 - 2 * q), min(2 * q, o2 - q)
-                checked += _check_forced(d, _row_steps(d, 0, q, lo, hi), range(lo, hi + 1))
+                checked += _check_forced(d, _row_steps(_digit_reads(d), 0, q, lo, hi), range(lo, hi + 1))
     assert checked > 5000
 
 
@@ -526,14 +534,94 @@ def test_the_shared_y_table_equals_the_table_of_each_start():
     checked = 0
     for d, qs in _seeded_digit_strings(47, 120):
         n = len(d)
+        reads = _digit_reads(d)
         for q in qs:
             first, last = max(2 * q, n - 2 * q), min(4 * q, n - q)
-            shared = _row_steps(d, first, q, n, n, last)
+            shared = _row_steps(reads, first, q, n, n, last)
             for o2 in range(first, last + 1):
-                alone = _row_steps(d, o2, q, n, n)
+                alone = _row_steps(reads, o2, q, n, n)
                 assert [{p: shared[i][p] for p in table} for i, table in enumerate(alone)] == alone
                 checked += 1
     assert checked > 400
+
+
+def _former_row_steps(d, start, q, lo, hi, last_start=None):
+    """The former step-table builder, which read each value with int() on
+    its slice of d, once for each table."""
+    last = start if last_start is None else last_start
+    steps = [{} for _ in range(q)]
+    after = {}
+    for i in range(q - 1, -1, -1):
+        left = q - 1 - i
+        for p in range(start + i, last + 2 * i + 1):
+            readings = []
+            for w in (2, 1):
+                end = p + w
+                if end + left <= hi and end + 2 * left >= lo and (w == 1 or d[p] != "0"):
+                    v = int(d[p:end])
+                    forced = 1 << v
+                    if left:
+                        nxt = after[end]
+                        if not nxt:
+                            continue
+                        forced |= nxt[0][2] & nxt[-1][2]
+                    readings.append((end, v, forced))
+            steps[i][p] = readings
+        after = steps[i]
+    return steps
+
+
+def test_tables_from_the_shared_digit_values_equal_the_former_int_slice_tables():
+    checked = 0
+    inputs = [(DIGIT_STRING_60.replace("o", "0"), [12]), ("100200300", [2, 3])]
+    inputs.extend(_seeded_digit_strings(53, 120))
+    for d, qs in inputs:
+        n = len(d)
+        reads = _digit_reads(d)
+        assert len(reads) == 2 * n and not any(reads[n:])
+        for q in qs:
+            if not 3 * q <= n <= 6 * q:
+                continue
+            first, last = max(2 * q, n - 2 * q), min(4 * q, n - q)
+            y_steps = _row_steps(reads, first, q, n, n, last)
+            assert y_steps == _former_row_steps(d, first, q, n, n, last), (d, q)
+            for o2 in range(first, last + 1):
+                lo, hi = max(q, o2 - 2 * q), min(2 * q, o2 - q)
+                x_steps = _row_steps(reads, 0, q, lo, hi)
+                assert x_steps == _former_row_steps(d, 0, q, lo, hi), (d, q, o2)
+                checked += sum(len(r) for table in x_steps for r in table.values())
+    assert checked > 5000
+
+
+def _differential_inputs():
+    """(d, q): the c12 string, c11-style encoded random trees, and the
+    seeded strings with and without zeros."""
+    yield DIGIT_STRING_60.replace("o", "0"), [12]
+    rng = random.Random(59)
+    for _ in range(40):
+        q = rng.randrange(1, 9)
+        t, f = random_distinct_label_tree(rng, q)
+        yield string_from_topcode(topcode_from_graph(t, f)), [q]
+    yield from _seeded_digit_strings(61, 100)
+
+
+def test_solver_output_equals_the_checked_constructors():
+    # the solver builds its matrices and colorings without their checks;
+    # the public constructors must accept each one and rebuild it equal
+    hits = 0
+    for d, qs in _differential_inputs():
+        sols = _outcome(solve_dnsp, d, qs)
+        if isinstance(sols, str):
+            continue
+        for m, g, f in sols:
+            checked_m = TopcodeMatrix(m.X, m.E, m.Y)
+            assert checked_m == m and hash(checked_m) == hash(m)
+            assert repr(checked_m) == repr(m)
+            checked_f = TotalColoring(f.palette, dict(f.vertex_colors), dict(f.edge_colors))
+            assert checked_f == f and repr(checked_f) == repr(f)
+            assert realize_topcode(m) == (g, f)
+            hits += 1
+    assert hits > 3000
 
 
 def test_cuttings_of_a_long_string_start_at_once():
