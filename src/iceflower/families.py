@@ -15,6 +15,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .graph import (
     Graph,
+    _automorphisms,
     canonical_form,
     is_connected,
     is_hamilton_cycle,
@@ -61,11 +62,25 @@ def star_graph(m: int) -> Graph:
 def graph_classes(p: int) -> Tuple[Graph, ...]:
     """All graphs on p vertices up to isomorphism, canonically labeled.
 
-    Built by augmentation: each class on p vertices arises from a class on
-    p-1 vertices plus a neighborhood for the new vertex.  Only augmentations
-    in which the new vertex has minimum degree are canonicalized.  Every
-    class H has a vertex v of minimum degree and H - v is one of the bases,
-    so the copy of H that adds v back last passes and no class is lost.
+    Built by augmentation: each class on p vertices arises from a class g
+    on p-1 vertices plus a neighborhood mask for the new vertex.
+
+    - Only augmentations in which the new vertex has minimum degree are
+      canonicalized.  Every class H has a vertex v of minimum degree and
+      H - v is one of the bases, so the copy of H that adds v back last
+      passes and no class is lost.
+    - Only one mask per orbit of Aut(g) is canonicalized (McKay,
+      Isomorph-free exhaustive generation, J. Algorithms 26, 1998).  An
+      automorphism a of g maps the mask m to a(m), and a extended by the
+      new vertex maps g + m onto g + a(m), so the two are isomorphic.  a
+      keeps degrees, so the min-degree test gives the same answer on the
+      whole orbit.  The masks are walked in ascending order; each one not
+      yet marked is canonicalized, and its images under all of Aut(g) are
+      marked.  An edgeless g has Aut(g) = Sym(p-1), which the search that
+      reads Aut(g) finds like any other group.
+
+    Each class is stored as its canonical form, so which copy of it is
+    met first changes no output.
     """
     if p < 1:
         raise ValueError("p >= 1 required")
@@ -75,16 +90,20 @@ def graph_classes(p: int) -> Tuple[Graph, ...]:
     for g in graph_classes(p - 1):
         base = g.edges()
         deg = [g.degree(i + 1) for i in range(p - 1)]
+        # bit i (vertex i + 1) goes to bit image[i] under each a but the identity
+        images = [[w - 1 for w in a] for a in _automorphisms(g)[1:]]
+        marked = set()
         for mask in range(1 << (p - 1)):
+            if mask in marked:
+                continue
             k = mask.bit_count()
             if any(k > deg[i] + (mask >> i & 1) for i in range(p - 1)):
                 continue
-            edges = list(base)
-            for i in range(p - 1):
-                if mask >> i & 1:
-                    edges.append((i + 1, p))
-            h = Graph(p, edges)
-            key = canonical_form(h)
+            bits = [i for i in range(p - 1) if mask >> i & 1]
+            for image in images:
+                marked.add(sum(1 << image[i] for i in bits))
+            edges = base + [(i + 1, p) for i in bits]
+            key = canonical_form(Graph(p, edges))
             if key not in seen:
                 seen[key] = Graph(p, key[1])
     return tuple(seen[k] for k in sorted(seen))

@@ -355,24 +355,18 @@ def _refine_colors(g: Graph) -> List[List[int]]:
 MAX_CANONICAL_VERTICES = 800
 
 
-def canonical_form(g: Graph) -> Tuple[int, Tuple[Edge, ...]]:
-    """(p, edge tuple) invariant under relabeling: equal iff isomorphic.
+def _canonical_search(g: Graph, ties: Optional[List[Tuple[int, ...]]] = None) -> List[int]:
+    """The columns of g's smallest layout; fills `ties` with its best layouts.
 
-    Backtracks over relabelings compatible with the refined color cells,
-    keeping the lexicographically smallest adjacency encoding.  A subtree
-    is cut as soon as its prefix exceeds the best encoding found so far.
-
-    Raises ValueError when p exceeds MAX_CANONICAL_VERTICES, the size
-    whose search depth still fits Python's default recursion limit.
+    A layout puts every vertex at a position 0..p-1, each inside its
+    refined color cell, and is read as one bitmask column per position.
+    The search backtracks over layouts and keeps the lexicographically
+    smallest column list.  A subtree is cut as soon as its prefix exceeds
+    the best columns found so far, so no layout that ties with the final
+    best is ever cut.  Given a list, the search fills it with every such
+    layout as a tuple of vertices by position, the first best one first.
     """
     p = g.p
-    if p > MAX_CANONICAL_VERTICES:
-        raise ValueError(
-            "canonical form takes graphs with p <= %d, got p = %d"
-            % (MAX_CANONICAL_VERTICES, p)
-        )
-    if g.q == 0:
-        return (p, ())
     cells = _refine_colors(g)
     # position i (0-based) draws from slot_cell[i]
     slot_cell: List[int] = []
@@ -394,9 +388,15 @@ def canonical_form(g: Graph) -> Tuple[int, Tuple[Edge, ...]]:
         # or -1 while it equals the best (or no best exists yet)
         nonlocal best_cols, gen
         if i == p:
+            # a leaf is never above the best, so a leaf not below it ties
             if best_cols is None or cols < best_cols:
                 best_cols = list(cols)
                 gen += 1
+                if ties is not None:
+                    ties.clear()
+                    ties.append(layout())
+            elif ties is not None:
+                ties.append(layout())
             return
         cell = remaining[slot_cell[i]]
         for v in list(cell):
@@ -418,13 +418,56 @@ def canonical_form(g: Graph) -> Tuple[int, Tuple[Edge, ...]]:
             del pos_of[v]
             cell.append(v)
 
+    def layout() -> Tuple[int, ...]:
+        order = [0] * p
+        for v, i in pos_of.items():
+            order[i] = v
+        return tuple(order)
+
     place(0, -1)
     assert best_cols is not None
+    return best_cols
+
+
+def canonical_form(g: Graph) -> Tuple[int, Tuple[Edge, ...]]:
+    """(p, edge tuple) invariant under relabeling: equal iff isomorphic.
+
+    The edges of g's smallest layout (see _canonical_search).  An edgeless
+    graph needs no search.
+
+    Raises ValueError when p exceeds MAX_CANONICAL_VERTICES, the size
+    whose search depth still fits Python's default recursion limit.
+    """
+    p = g.p
+    if p > MAX_CANONICAL_VERTICES:
+        raise ValueError(
+            "canonical form takes graphs with p <= %d, got p = %d"
+            % (MAX_CANONICAL_VERTICES, p)
+        )
+    if g.q == 0:
+        return (p, ())
+    best_cols = _canonical_search(g)
     # bit j of column i says whether positions j < i are adjacent
     edges = tuple(
         (j + 1, i + 1) for j in range(p) for i in range(j + 1, p) if best_cols[i] >> j & 1
     )
     return (p, edges)
+
+
+def _automorphisms(g: Graph) -> List[Tuple[int, ...]]:
+    """Aut(g), each automorphism a as the tuple (a(1), ..., a(p)).
+
+    An automorphism keeps the refined cells, so it carries the first best
+    layout of _canonical_search to a layout in the search with the same
+    columns.  Conversely, two layouts with the same columns differ by an
+    automorphism.  So the tied layouts, composed with the first one, are
+    exactly Aut(g), the identity first.  The list holds |Aut(g)| tuples
+    (p! for K_p and for an edgeless g), so this is for small graphs only.
+    """
+    ties: List[Tuple[int, ...]] = []
+    _canonical_search(g, ties)
+    pos = {v: i for i, v in enumerate(ties[0])}
+    return [tuple(tie[pos[v]] for v in g.vertices()) for tie in ties]
 
 
 def canonical_relabel(g: Graph) -> Graph:

@@ -2,7 +2,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -12,6 +12,7 @@ from iceflower.graph import (
     MAX_CANONICAL_VERTICES,
     MAX_VERTICES,
     Graph,
+    _automorphisms,
     _refine_colors,
     are_isomorphic,
     canonical_form,
@@ -409,13 +410,18 @@ def test_proper_vertex_coloring_matches_the_recursive_search():
             )
 
 
-def _graph_classes_full_sweep(p):
-    """Every augmentation of every class on p - 1 vertices, canonicalized."""
+def _graph_classes_sweep(p, min_degree):
+    """Augmentations of every class on p - 1 vertices, canonicalized: all
+    of them, or only those whose new vertex has minimum degree."""
     if p == 1:
         return (Graph(1),)
     seen = {}
-    for g in _graph_classes_full_sweep(p - 1):
+    for g in _graph_classes_sweep(p - 1, min_degree):
+        deg = [g.degree(i + 1) for i in range(p - 1)]
         for mask in range(1 << (p - 1)):
+            k = mask.bit_count()
+            if min_degree and any(k > deg[i] + (mask >> i & 1) for i in range(p - 1)):
+                continue
             edges = g.edges() + [(i + 1, p) for i in range(p - 1) if mask >> i & 1]
             key = canonical_form(Graph(p, edges))
             seen.setdefault(key, Graph(p, key[1]))
@@ -425,7 +431,7 @@ def _graph_classes_full_sweep(p):
 @pytest.mark.parametrize("p", range(1, 7))
 def test_graph_classes_min_degree_filter_equals_full_sweep(p):
     got = graph_classes(p)
-    want = _graph_classes_full_sweep(p)
+    want = _graph_classes_sweep(p, min_degree=False)
     assert [(g.p, g.edges()) for g in got] == [(g.p, g.edges()) for g in want]
 
 
@@ -434,7 +440,9 @@ def test_graph_classes_7_counts_a000088_and_a001349():
     assert len(connected_classes(7)) == 853
 
 
-def test_graph_classes_7_canonicalizes_2690_augmentations(monkeypatch):
+def _count_canonical_calls(monkeypatch, prebuilt, p):
+    """The orders of the graphs canonical_form sees while graph_classes(p)
+    is built, with graph_classes(prebuilt) already cached (none if 0)."""
     real = families.canonical_form
     calls = []
 
@@ -444,14 +452,51 @@ def test_graph_classes_7_canonicalizes_2690_augmentations(monkeypatch):
 
     graph_classes.cache_clear()
     try:
-        graph_classes(6)
+        if prebuilt:
+            graph_classes(prebuilt)
         monkeypatch.setattr(families, "canonical_form", counting)
-        graph_classes(7)
+        graph_classes(p)
     finally:
         monkeypatch.undo()
         # drop every tuple built under the wrapper; later callers rebuild
         graph_classes.cache_clear()
-    assert len(calls) == 2690 and set(calls) == {7}
+    return calls
+
+
+def test_graph_classes_7_canonicalizes_1401_augmentations(monkeypatch):
+    calls = _count_canonical_calls(monkeypatch, 6, 7)
+    assert len(calls) == 1401 and set(calls) == {7}
+
+
+def test_graph_classes_canonicalizes_one_mask_per_orbit_for_p_2_to_6(monkeypatch):
+    calls = _count_canonical_calls(monkeypatch, 0, 6)
+    assert [calls.count(p) for p in range(1, 7)] == [0, 2, 4, 11, 37, 184]
+
+
+def test_graph_classes_7_equals_the_min_degree_sweep():
+    got = graph_classes(7)
+    want = _graph_classes_sweep(7, min_degree=True)
+    assert [(g.p, g.edges()) for g in got] == [(g.p, g.edges()) for g in want]
+
+
+def _automorphisms_bruteforce(g):
+    """Every vertex permutation that keeps the edge set."""
+    edges = {frozenset(e) for e in g.edges()}
+    return {
+        perm
+        for perm in permutations(g.vertices())
+        if {frozenset((perm[u - 1], perm[v - 1])) for u, v in edges} == edges
+    }
+
+
+def test_automorphisms_equal_the_brute_force_group():
+    graphs = [g for p in range(1, 7) for g in graph_classes(p)]
+    graphs += [complete_graph(6), cycle_graph(6), path_graph(6)]
+    graphs += [Graph(p) for p in range(1, 7)]
+    for g in graphs:
+        autos = _automorphisms(g)
+        assert len(autos) == len(set(autos))
+        assert set(autos) == _automorphisms_bruteforce(g), g.edges()
 
 
 def _canonical_form_reference(g):
