@@ -47,9 +47,10 @@ class TotalColoring:
     ) -> "TotalColoring":
         """A coloring built without __post_init__, for a caller that already
         holds its invariants: palette >= 1, every edge key (u, v) with
-        u < v, and every color in 0..palette.  The DNSP solver's
-        realizations hold them by construction (keys from _norm_edge,
-        palette the largest label, at least 1)."""
+        u < v, and every color in 0..palette.  Topcode realizations
+        (topcode._color, for realize_topcode and solve_dnsp) hold them by
+        construction (keys from _norm_edge, palette the largest label, at
+        least 1)."""
         tc = object.__new__(cls)
         tc.palette = palette
         tc.vertex_colors = vertex_colors

@@ -27,7 +27,7 @@ from .graph import (
 )
 from .families import prufer_to_tree
 from .coloring import TotalColoring, is_proper_total
-from .leafops import LeafEdge, Surgery, _lay_out, leaf_split
+from .leafops import LeafEdge, Surgery, _lay_out
 from .system import ColoredIceFlowerSystem, IceFlowerSystem, Star, make_star
 
 Step = Tuple[int, int, int, int]  # (instance, leaf slot, instance, leaf slot)
@@ -349,27 +349,27 @@ def hamiltonian_lattice_member(g: Graph) -> bool:
 
 def hamiltonian_witness(g: Graph) -> Optional[HairedCycle]:
     """Split every off-tour edge of a hamiltonian graph, exposing the
-    haired cycle it came from (inverse of the closing construction)."""
+    haired cycle it came from (inverse of the closing construction).
+
+    The haired cycle is built in one pass on the ids a chain of
+    leaf_split calls would give: the i-th off-tour edge (u, v), in
+    g.edges() order, leaves p+2i+1 on u and p+2i+2 on v.
+    """
     cycle = find_hamilton_cycle(g)
     if cycle is None:
         return None
-    on_cycle = set()
     p = len(cycle)
-    for i in range(p):
-        a, b = cycle[i], cycle[(i + 1) % p]
-        on_cycle.add(_norm_edge(a, b))
-    cur = g
+    on_cycle = {_norm_edge(cycle[i], cycle[(i + 1) % p]) for i in range(p)}
+    off_tour = [e for e in g.edges() if e not in on_cycle]
     pendants: Dict[int, List[int]] = {v: [] for v in cycle}
-    for u, v in g.edges():
-        if (u, v) in on_cycle:
-            continue
-        res = leaf_split(cur, u, v)
-        cur = res.graph
-        pendants[u].append(res.leaf_at_u)
-        pendants[v].append(res.leaf_at_v)
-    hc = HairedCycle(cur, list(cycle), pendants)
+    for i, (u, v) in enumerate(off_tour):
+        pendants[u].append(p + 2 * i + 1)
+        pendants[v].append(p + 2 * i + 2)
+    edges = list(on_cycle)
+    edges.extend((c, x) for c, hair in pendants.items() for x in hair)
+    hc = HairedCycle(Graph(p + 2 * len(off_tour), edges), list(cycle), pendants)
     for x in cycle:
-        assert cur.degree(x) == g.degree(x)
+        assert hc.graph.degree(x) == g.degree(x)
     return hc
 
 

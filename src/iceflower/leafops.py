@@ -72,7 +72,7 @@ def leaf_edges(g: Graph) -> list:
 @dataclass
 class SplitResult:
     graph: Graph
-    leaf_at_u: int  # the new leaf hanging on u (the smaller-id endpoint given)
+    leaf_at_u: int  # the new leaf hanging on u (the first endpoint given)
     leaf_at_v: int  # the new leaf hanging on v
 
 

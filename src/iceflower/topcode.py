@@ -101,31 +101,55 @@ def _check_number_string(d: str) -> None:
         raise ValueError("a number string is a non-empty run of digits 0-9")
 
 
-def _readings(d: str, start: int, stop: int, count: int) -> Iterator[Tuple[int, ...]]:
-    """Every way to read d[start:stop] as `count` segments of 1-2 digits,
-    wider first at every position, lazily and on an explicit stack.
+_Reads = List[Tuple[Tuple[int, int], ...]]
+
+
+def _digit_reads(d: str) -> _Reads:
+    """reads[p]: the (end, value) readings of one segment that starts at
+    d[p], wider first: two digits unless they would start with '0' or run
+    past the end, then one.  This is the only place digits become values:
+    cuttings and solve_dnsp read d once into this list, and _readings and
+    every step table take their values from it.
 
     Two-digit segments may not start with '0': their value would
     re-serialize one digit short, breaking the bit-exact inverse.  So a
-    value below 10 always came from one digit and any other from two,
-    which is how a backtrack knows the width it pops.
-    """
+    value below 10 always came from one digit and any other from two.
+
+    The list runs on to 2 len(d) with no readings, since a Y-row table
+    visits positions up to len(d) + q - 2 (see _row_steps)."""
+    n = len(d)
+    reads: _Reads = [
+        ((p + 2, int(d[p : p + 2])), (p + 1, int(d[p])))
+        if p + 1 < n and d[p] != "0"
+        else ((p + 1, int(d[p])),)
+        for p in range(n)
+    ]
+    return reads + [()] * n
+
+
+def _readings(reads: _Reads, start: int, stop: int, count: int) -> Iterator[Tuple[int, ...]]:
+    """Every way to read d[start:stop] as `count` segments, where reads =
+    _digit_reads(d), wider first at every position, lazily and on an
+    explicit stack of the positions' reading iterators.  A reading is
+    taken only when the segments after it can fill the rest of the
+    window, 1-2 digits each."""
     vals: List[int] = []
-    pos, w = start, 2  # w: the next width to try at pos, 0 to backtrack
-    while True:
-        left = count - len(vals)
-        if left and w and left - 1 <= stop - pos - w <= 2 * (left - 1) and (w == 1 or d[pos] != "0"):
-            vals.append(int(d[pos : pos + w]))
-            pos, w = pos + w, 2
-        elif left and w == 2:
-            w = 1
+    stack = [iter(reads[start])]
+    while stack:
+        left = count - len(stack)  # segments after the one read here
+        for end, v in stack[-1]:
+            if left <= stop - end <= 2 * left:
+                vals.append(v)
+                if left:
+                    stack.append(iter(reads[end]))
+                else:
+                    yield tuple(vals)
+                    vals.pop()
+                break
         else:
-            if not left:
-                yield tuple(vals)
-            if not vals:
-                return
-            width = 1 + (vals.pop() >= 10)
-            pos, w = pos - width, width - 1
+            stack.pop()
+            if vals:
+                vals.pop()
 
 
 def cuttings(d: str, q: int) -> Iterator[TopcodeMatrix]:
@@ -139,11 +163,11 @@ def cuttings(d: str, q: int) -> Iterator[TopcodeMatrix]:
             "string of length %d cannot split into %d segments of 1-2 digits"
             % (len(d), 3 * q)
         )
-    for vals in _readings(d, 0, len(d), 3 * q):
+    for vals in _readings(_digit_reads(d), 0, len(d), 3 * q):
         yield TopcodeMatrix(vals[:q], vals[q : 2 * q], vals[2 * q :])
 
 
-_Frame = Tuple[Graph, List[Tuple[int, int]], Dict[int, int]]
+_Frame = Tuple[Graph, List[Tuple[int, int]], Dict[int, int], int]
 
 
 def _assemble(
@@ -153,13 +177,14 @@ def _assemble(
 ) -> Optional[_Frame]:
     """The uncolored half of a realization, shared by realize_topcode and
     solve_dnsp: the graph on 1..p whose column i joins the vertices
-    ends[i], its edges in column order and its vertex colors (the X and Y
-    labels), or None on loop/duplicate (Graph rejects both) or disconnect.
+    ends[i], its edges in column order, its vertex colors (the X and Y
+    labels) and the palette floor max(1, labels), or None on
+    loop/duplicate (Graph rejects both) or disconnect.
 
     It depends on the X and Y rows only, so solve_dnsp builds it once for
     each (X, Y) pair and hands the same Graph to every middle row E read
-    with it; a Graph is never changed after it is built.  _color, or
-    solve_dnsp's own trusted coloring, adds each E's edge colors.
+    with it; a Graph is never changed after it is built.  _color adds
+    each E's edge colors.
     """
     edges = [_norm_edge(u, v) for u, v in ends]
     try:
@@ -172,15 +197,16 @@ def _assemble(
     for (x, y), (u, v) in zip(xy, ends):
         vc[u] = x
         vc[v] = y
-    return g, edges, vc
+    return g, edges, vc, max(1, *vc.values())
 
 
 def _color(frame: _Frame, es: Sequence[int]) -> TotalColoring:
     """The total coloring of an assembled graph whose column i's edge
-    has color es[i]; the palette bound is the largest label, at least 1."""
-    _, edges, vc = frame
-    palette = max(1, max(vc.values()), max(es))
-    return TotalColoring(palette, dict(vc), dict(zip(edges, es)))
+    has color es[i]; the palette bound is the largest label, at least 1.
+    Its invariants hold by construction (keys from _norm_edge, labels of
+    a TopcodeMatrix or digits, so none negative), so it skips the checks."""
+    _, edges, vc, floor = frame
+    return TotalColoring._trusted(max(floor, *es), dict(vc), dict(zip(edges, es)))
 
 
 def _distinct_labels(X: Sequence[int], Y: Sequence[int]) -> Optional[_Frame]:
@@ -243,25 +269,7 @@ def realize_topcode(
     return None
 
 
-_Reads = List[Tuple[Tuple[int, int], ...]]
 _Steps = List[Dict[int, List[Tuple[int, int, int]]]]
-
-
-def _digit_reads(d: str) -> _Reads:
-    """reads[p]: the (end, value) readings of one segment that starts at
-    d[p], wider first: two digits unless they would start with '0' (see
-    _readings) or run past the end, then one.  solve_dnsp reads them once
-    per call and every step table takes its values from them.  The list
-    runs on to 2 len(d) with no readings, since a Y-row table visits
-    positions up to len(d) + q - 2 (see _row_steps)."""
-    n = len(d)
-    reads: _Reads = [
-        ((p + 2, int(d[p : p + 2])), (p + 1, int(d[p])))
-        if p + 1 < n and d[p] != "0"
-        else ((p + 1, int(d[p])),)
-        for p in range(n)
-    ]
-    return reads + [()] * n
 
 
 def _row_steps(
@@ -430,7 +438,7 @@ def solve_dnsp(
         for o2 in range(first, last + 1):
             lo, hi = max(q, o2 - 2 * q), min(2 * q, o2 - q)
             for o1, pairs in _tree_rows(_row_steps(reads, 0, q, lo, hi), y_steps, o2).items():
-                trees = []
+                frames = []
                 for xs, ys in pairs:
                     frame = _distinct_labels(xs, ys)
                     if frame is None:
@@ -438,19 +446,11 @@ def solve_dnsp(
                             "rows X=%s Y=%s passed the tree search but do not realize as a tree"
                             % (xs, ys)
                         )
-                    g, edges, vc = frame
-                    # the palette is the largest label (see _color): the
-                    # vertex part once per pair, the edge part once per E
-                    trees.append((xs, ys, g, edges, vc, max(1, *xs, *ys)))
-                for es in _readings(d, o1, o2, q):
-                    top = max(es)
+                    frames.append((xs, ys, frame))
+                for es in _readings(reads, o1, o2, q):
                     found.extend(
-                        (
-                            TopcodeMatrix._trusted(xs, es, ys),
-                            g,
-                            TotalColoring._trusted(max(labels, top), dict(vc), dict(zip(edges, es))),
-                        )
-                        for xs, ys, g, edges, vc, labels in trees
+                        (TopcodeMatrix._trusted(xs, es, ys), frame[0], _color(frame, es))
+                        for xs, ys, frame in frames
                     )
         # a value below 10 is one digit wide, any other two (no leading
         # zero), so this key is the wider-first order of cuttings(d, q)
@@ -494,7 +494,8 @@ def vector_lattice_member(
     one copy must be used overall.  Coefficients are bounded by the
     largest target entry (1 for the zero target), searched in ascending
     lexicographic order; the first hit is returned unless all are asked
-    for.  None when no combination exists within the bound.
+    for.  None when no combination exists within the bound.  The partial
+    sums are kept on an explicit stack, so any number of bases fits.
     """
     if not bases:
         raise ValueError("at least one base vector required")
@@ -504,28 +505,26 @@ def vector_lattice_member(
     if any(e < 0 for e in target) or any(e < 0 for b in padded for e in b):
         raise ValueError("vector entries must be non-negative")
     bound = max(max(target, default=0), 1)
+    n = len(padded)
     found: List[Tuple[int, ...]] = []
-    coeff = [0] * len(padded)
-
-    def rec(idx: int, partial: Tuple[int, ...]) -> bool:
-        if any(partial[j] > target[j] for j in range(width)):
-            return False
-        if idx == len(padded):
-            if partial == target and sum(coeff) >= 1:
-                found.append(tuple(coeff))
-                return not all_solutions
-            return False
-        for a in range(bound + 1):
-            coeff[idx] = a
-            add = tuple(
-                partial[j] + a * padded[idx][j] for j in range(width)
-            )
-            if rec(idx + 1, add):
-                return True
-            if any(add[j] > target[j] for j in range(width)):
+    coeff = [0] * n
+    sums = [(0,) * width]  # sums[i]: the first i bases' terms added up
+    while True:
+        sums += [sums[-1]] * (n + 1 - len(sums))  # the bases not yet set start at 0
+        if sums[-1] == target and any(coeff):
+            found.append(tuple(coeff))
+            if not all_solutions:
                 break
-        coeff[idx] = 0
-        return False
-
-    rec(0, (0,) * width)
+        # raise the last coefficient that can grow without passing the
+        # target; the ones after it restart at 0
+        while len(sums) > 1:
+            i = len(sums) - 2
+            raised = tuple(s + b for s, b in zip(sums.pop(), padded[i]))
+            if coeff[i] < bound and all(s <= t for s, t in zip(raised, target)):
+                coeff[i] += 1
+                sums.append(raised)
+                break
+            coeff[i] = 0
+        else:
+            break
     return found if found else None

@@ -9,6 +9,7 @@ from iceflower.graph import (
     MAX_CANONICAL_VERTICES,
     MAX_VERTICES,
     Graph,
+    _norm_edge,
     are_isomorphic,
     canonical_form,
     degree_sequence,
@@ -27,10 +28,11 @@ from iceflower.families import (
     star_graph,
 )
 from iceflower.coloring import TotalColoring, is_proper_total
-from iceflower.leafops import LeafEdge, Surgery, colored_leaf_coincide, disjoint_union, leaf_coincide
+from iceflower.leafops import LeafEdge, Surgery, colored_leaf_coincide, disjoint_union, leaf_coincide, leaf_split
 from iceflower.lattice import (
     ClosureResult,
     CoincideScript,
+    HairedCycle,
     NoClosure,
     _chord_graphs,
     build_haired_cycle,
@@ -229,6 +231,58 @@ def test_membership_and_witness_agree():
             back = close_to_hamiltonian(w)
             assert any(are_isomorphic(h, g) for h in back.graphs)
 
+
+
+def _split_chain_witness(g):
+    """The former witness: one leaf_split per off-tour edge, in g.edges()
+    order, each rebuilding the whole graph."""
+    cycle = find_hamilton_cycle(g)
+    if cycle is None:
+        return None
+    on_cycle = {_norm_edge(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))}
+    cur, pendants = g, {v: [] for v in cycle}
+    for u, v in g.edges():
+        if (u, v) not in on_cycle:
+            res = leaf_split(cur, u, v)
+            cur = res.graph
+            pendants[u].append(res.leaf_at_u)
+            pendants[v].append(res.leaf_at_v)
+    return HairedCycle(cur, list(cycle), pendants)
+
+
+def _hamiltonian_graphs(seed, count):
+    """A shuffled tour on p = 3..9 vertices plus random chords."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.randrange(3, 10)
+        tour = rng.sample(range(1, p + 1), p)
+        edges = {_norm_edge(tour[i], tour[(i + 1) % p]) for i in range(p)}
+        for _ in range(rng.randrange(0, p * (p - 1) // 2 + 1)):
+            edges.add(_norm_edge(*rng.sample(range(1, p + 1), 2)))
+        yield Graph(p, sorted(edges))
+
+
+def test_hamiltonian_witness_equals_the_leaf_split_chain():
+    graphs = list(_hamiltonian_graphs(67, 160))
+    graphs += [complete_graph(p) for p in range(3, 10)]
+    graphs += [path_graph(5), star_graph(4), complete_bipartite_graph(2, 3), Graph(1, [])]
+    witnessed = 0
+    for g in graphs:
+        got = hamiltonian_witness(g)
+        assert got == _split_chain_witness(g), g.edges()
+        witnessed += got is not None and got.pendant_count() > 0
+    assert witnessed > 110
+
+
+def test_pairing_the_witness_pendants_along_the_off_tour_edges_gives_g():
+    for g in [*_hamiltonian_graphs(71, 60), complete_graph(60)]:
+        w = hamiltonian_witness(g)
+        support = {x: c for c, hair in w.pendants.items() for x in hair}
+        assert sorted(support) == list(range(g.p + 1, w.graph.p + 1))
+        surgery = Surgery(w.graph)
+        for x in range(g.p + 1, w.graph.p + 1, 2):
+            surgery.merge(LeafEdge(support[x], x), LeafEdge(support[x + 1], x + 1))
+        assert surgery.finish()[0] == g
 
 def test_planar_member():
     f = planar_lattice_member(cycle_graph(6))

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from iceflower.families import (
     path_graph,
     star_graph,
 )
+from iceflower import topcode
 from iceflower.coloring import TotalColoring
 from iceflower.topcode import (
     TopcodeMatrix,
@@ -396,6 +399,28 @@ def _reference_tree_rows(x_steps, y_steps):
     return found
 
 
+def _former_readings(d, start, stop, count):
+    """The former middle-row reader, which read each value with int() on
+    its slice of d and, on backtrack, took a segment's width from its
+    value: below 10 one digit, else two (no leading zero)."""
+    vals = []
+    pos, w = start, 2  # w: the next width to try at pos, 0 to backtrack
+    while True:
+        left = count - len(vals)
+        if left and w and left - 1 <= stop - pos - w <= 2 * (left - 1) and (w == 1 or d[pos] != "0"):
+            vals.append(int(d[pos : pos + w]))
+            pos, w = pos + w, 2
+        elif left and w == 2:
+            w = 1
+        else:
+            if not left:
+                yield tuple(vals)
+            if not vals:
+                return
+            width = 1 + (vals.pop() >= 10)
+            pos, w = pos - width, width - 1
+
+
 def reference_solve_dnsp(d, q_values):
     """The former solver: one search for each split of d into X | E | Y."""
     _check_number_string(d)
@@ -420,7 +445,7 @@ def reference_solve_dnsp(d, q_values):
             for o2 in range(max(o1 + q, n - 2 * q), min(o1 + 2 * q, n - q) + 1):
                 pairs = _reference_tree_rows(x_steps[o1], y_steps[o2])
                 if pairs:
-                    for es in _readings(d, o1, o2, q):
+                    for es in _former_readings(d, o1, o2, q):
                         found.extend(TopcodeMatrix(xs, es, ys) for xs, ys in pairs)
         found.sort(key=lambda m: [v < 10 for v in m.X + m.E + m.Y])
         out.extend((m,) + realize_topcode(m) for m in found)
@@ -504,7 +529,7 @@ def _check_forced(d, steps, ends):
             alive = []
             for end, value in ((p + w, int(d[p : p + w])) for w in (2, 1) if p + w <= len(d)):
                 if left:
-                    rest = [r for o in ends for r in _readings(d, end, o, left)]
+                    rest = [r for o in ends for r in _former_readings(d, end, o, left)]
                 else:
                     rest = [()] if end in ends else []
                 if rest and (end - p == 1 or d[p] != "0"):
@@ -591,6 +616,45 @@ def test_tables_from_the_shared_digit_values_equal_the_former_int_slice_tables()
                 assert x_steps == _former_row_steps(d, 0, q, lo, hi), (d, q, o2)
                 checked += sum(len(r) for table in x_steps for r in table.values())
     assert checked > 5000
+
+
+def test_readings_from_the_shared_digit_values_equal_the_former_int_slice_reader():
+    """Every window solve_dnsp reads a middle row from (each X-row end o1
+    its Y-row start o2 allows), and the full cutting of each string of up
+    to 20 digits, on the c12 string, a zero-heavy string and the seeded
+    strings."""
+    checked = 0
+    inputs = [(DIGIT_STRING_60.replace("o", "0"), [12]), ("100200300", [2, 3])]
+    inputs.extend(_seeded_digit_strings(67, 120))
+    for d, qs in inputs:
+        n = len(d)
+        reads = _digit_reads(d)
+        for q in qs:
+            if not 3 * q <= n <= 6 * q:
+                continue
+            windows = [(0, n, 3 * q)] if n <= 20 else []
+            for o2 in range(max(2 * q, n - 2 * q), min(4 * q, n - q) + 1):
+                lo, hi = max(q, o2 - 2 * q), min(2 * q, o2 - q)
+                windows.extend((o1, o2, q) for o1 in range(lo, hi + 1))
+            for start, stop, count in windows:
+                got = list(_readings(reads, start, stop, count))
+                assert got == list(_former_readings(d, start, stop, count)), (d, start, stop, count)
+                checked += len(got)
+    assert checked > 10000
+
+
+def test_digit_values_are_read_only_in_digit_reads():
+    """The segment grammar lives in _digit_reads alone: no other code in
+    topcode.py calls int(), so no second reading of digits can appear."""
+    def int_calls(node):
+        return sum(
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "int"
+            for n in ast.walk(node)
+        )
+
+    tree = ast.parse(Path(topcode.__file__).read_text())
+    (reader,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_digit_reads"]
+    assert int_calls(reader) > 0 and int_calls(reader) == int_calls(tree)
 
 
 def _differential_inputs():
@@ -773,6 +837,11 @@ def test_vector_lattice_member_against_brute_force(rng):
             if s == target:
                 expected.append(combo)
         assert (got or []) == expected
+        assert vector_lattice_member(target, bases) == (expected[:1] or None)
+
+
+def test_vector_lattice_member_takes_more_bases_than_the_recursion_limit():
+    assert vector_lattice_member((1200,), [(1,)] * 1200) == [(0,) * 1199 + (1200,)]
 
 
 def test_vector_padding():
