@@ -15,7 +15,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .graph import (
     Graph,
-    _automorphisms,
+    _automorphism_generators,
     canonical_form,
     is_connected,
     is_hamilton_cycle,
@@ -75,9 +75,12 @@ def graph_classes(p: int) -> Tuple[Graph, ...]:
       new vertex maps g + m onto g + a(m), so the two are isomorphic.  a
       keeps degrees, so the min-degree test gives the same answer on the
       whole orbit.  The masks are walked in ascending order; each one not
-      yet marked is canonicalized, and its images under all of Aut(g) are
-      marked.  An edgeless g has Aut(g) = Sym(p-1), which the search that
-      reads Aut(g) finds like any other group.
+      yet marked is canonicalized, and its orbit is marked.  The orbit is
+      closed on a stack under the generators that g's own canonical search
+      reads off its tied layouts, which generate Aut(g) (McKay, Practical
+      graph isomorphism, Congr. Numer. 30, 1981), so the group itself is
+      never listed.  An edgeless g has Aut(g) = Sym(p-1), which the
+      search finds like any other group.
 
     Each class is stored as its canonical form, so which copy of it is
     met first changes no output.
@@ -90,8 +93,8 @@ def graph_classes(p: int) -> Tuple[Graph, ...]:
     for g in graph_classes(p - 1):
         base = g.edges()
         deg = [g.degree(i + 1) for i in range(p - 1)]
-        # bit i (vertex i + 1) goes to bit image[i] under each a but the identity
-        images = [[w - 1 for w in a] for a in _automorphisms(g)[1:]]
+        # bit i (vertex i + 1) goes to bit image[i] under each generator
+        images = [[w - 1 for w in a] for a in _automorphism_generators(g)]
         marked = set()
         for mask in range(1 << (p - 1)):
             if mask in marked:
@@ -99,10 +102,16 @@ def graph_classes(p: int) -> Tuple[Graph, ...]:
             k = mask.bit_count()
             if any(k > deg[i] + (mask >> i & 1) for i in range(p - 1)):
                 continue
-            bits = [i for i in range(p - 1) if mask >> i & 1]
-            for image in images:
-                marked.add(sum(1 << image[i] for i in bits))
-            edges = base + [(i + 1, p) for i in bits]
+            stack = [mask]
+            while stack:
+                m = stack.pop()
+                mbits = [i for i in range(p - 1) if m >> i & 1]
+                for image in images:
+                    m2 = sum(1 << image[i] for i in mbits)
+                    if m2 not in marked:
+                        marked.add(m2)
+                        stack.append(m2)
+            edges = base + [(i + 1, p) for i in range(p - 1) if mask >> i & 1]
             key = canonical_form(Graph(p, edges))
             if key not in seen:
                 seen[key] = Graph(p, key[1])

@@ -330,23 +330,23 @@ def _refine_colors(g: Graph) -> List[List[int]]:
     multiset of their neighbors' colors.  The final cells are sorted by
     their signature history, which is identical for isomorphic graphs.
     """
-    color = {v: g.degree(v) for v in g.vertices()}
-    ncells = len(set(color.values()))
+    adj = g._adj
+    verts = g.vertices()
+    # color[v] for v in 1..p; slot 0 is unused
+    color = [len(a) for a in adj]
+    ncells = len(set(color[1:]))
     while True:
-        sig = {
-            v: (color[v], tuple(sorted(color[w] for w in g._adj[v])))
-            for v in g.vertices()
-        }
-        ordered = sorted(set(sig.values()))
+        sig = [(color[v], tuple(sorted([color[w] for w in adj[v]]))) for v in verts]
+        ordered = sorted(set(sig))
         index = {s: i for i, s in enumerate(ordered)}
-        color = {v: index[sig[v]] for v in g.vertices()}
+        color = [0] + [index[s] for s in sig]
         if len(ordered) == ncells:
             break
         ncells = len(ordered)
-    cells: Dict[int, List[int]] = {}
-    for v in g.vertices():
-        cells.setdefault(color[v], []).append(v)
-    return [sorted(cells[c]) for c in sorted(cells)]
+    cells: List[List[int]] = [[] for _ in ordered]
+    for v in verts:
+        cells[color[v]].append(v)
+    return cells
 
 
 # canonical_form's search recurses once per vertex, so it needs p + 1
@@ -355,16 +355,37 @@ def _refine_colors(g: Graph) -> List[List[int]]:
 MAX_CANONICAL_VERTICES = 800
 
 
-def _canonical_search(g: Graph, ties: Optional[List[Tuple[int, ...]]] = None) -> List[int]:
-    """The columns of g's smallest layout; fills `ties` with its best layouts.
+def _canonical_search(g: Graph, gens: Optional[List[Tuple[int, ...]]] = None) -> List[int]:
+    """The columns of g's smallest layout; appends generators of Aut(g) to `gens`.
 
     A layout puts every vertex at a position 0..p-1, each inside its
     refined color cell, and is read as one bitmask column per position.
     The search backtracks over layouts and keeps the lexicographically
-    smallest column list.  A subtree is cut as soon as its prefix exceeds
-    the best columns found so far, so no layout that ties with the final
-    best is ever cut.  Given a list, the search fills it with every such
-    layout as a tuple of vertices by position, the first best one first.
+    smallest column list.  Two cuts keep it from walking every layout:
+
+    - A subtree is cut as soon as its prefix exceeds the best columns
+      found so far.  The smallest layouts are never cut this way.
+    - When a leaf path ties with the best layout B, the map
+      a: B[t] -> path[t] is an automorphism, since the columns are the
+      adjacency of each position to the earlier ones.  Let c be the first
+      position where the two differ.  a fixes B[0..c-1] = path[0..c-1]
+      and maps B[c] to path[c]; it keeps the refined cells, so it maps
+      the subtree under the prefix B[0..c] onto the subtree under
+      path[0..c], column for column.  The search left the first before
+      it tried path[c] at position c, so it jumps back to position c
+      and tries the next vertex there.  By induction on the time a
+      subtree is left, no abandoned subtree holds a layout below the
+      best of its time, and every smallest layout is a(L) for a product
+      a of tie automorphisms and a smallest layout L that the search
+      reached.  So the columns returned are the smallest.
+
+    McKay (Practical graph isomorphism, Congr. Numer. 30, 1981; McKay and
+    Piperno, Practical graph isomorphism II, J. Symb. Comput. 60, 2014)
+    shows that the automorphisms read off such ties generate Aut(g): by
+    the induction above, every smallest layout is h(B) for the final
+    best B and some h in the group they generate, and for any
+    automorphism a, a(B) is a smallest layout, so a = h.  Given a list,
+    the search appends each of them as the tuple (a(1), ..., a(p)).
     """
     p = g.p
     cells = _refine_colors(g)
@@ -376,34 +397,43 @@ def _canonical_search(g: Graph, ties: Optional[List[Tuple[int, ...]]] = None) ->
     adj = g._adj
 
     best_cols: Optional[List[int]] = None
+    best_path: List[int] = []
     # bumped on every new best; a new best found below a node shares its
     # prefix, so a prefix marked "below the best" at an older generation
     # equals the best again
     gen = 0
-    pos_of = {}
+    # pos_of[v] is the position of vertex v on the path, or -1
+    pos_of = [-1] * (p + 1)
+    path: List[int] = []
     cols: List[int] = []
 
-    def place(i: int, below: int):
+    def place(i: int, below: int) -> int:
         # below: the generation at which this prefix fell below the best,
-        # or -1 while it equals the best (or no best exists yet)
-        nonlocal best_cols, gen
+        # or -1 while it equals the best (or no best exists yet).
+        # Returns the position to resume at: p when nothing jumps.
+        nonlocal best_cols, best_path, gen
         if i == p:
             # a leaf is never above the best, so a leaf not below it ties
-            if best_cols is None or cols < best_cols:
+            if best_cols is None or below == gen:
                 best_cols = list(cols)
+                best_path = list(path)
                 gen += 1
-                if ties is not None:
-                    ties.clear()
-                    ties.append(layout())
-            elif ties is not None:
-                ties.append(layout())
-            return
+                return p
+            c = 0
+            while path[c] == best_path[c]:
+                c += 1
+            if gens is not None:
+                a = [0] * p
+                for u, v in zip(best_path, path):
+                    a[u - 1] = v
+                gens.append(tuple(a))
+            return c
         cell = remaining[slot_cell[i]]
         for v in list(cell):
             col = 0
             for w in adj[v]:
-                j = pos_of.get(w)
-                if j is not None:
+                j = pos_of[w]
+                if j >= 0:
                     col |= 1 << j
             mark = below
             if best_cols is not None and below != gen:
@@ -412,17 +442,16 @@ def _canonical_search(g: Graph, ties: Optional[List[Tuple[int, ...]]] = None) ->
                 mark = gen if col < best_cols[i] else -1
             cell.remove(v)
             pos_of[v] = i
+            path.append(v)
             cols.append(col)
-            place(i + 1, mark)
+            back = place(i + 1, mark)
             cols.pop()
-            del pos_of[v]
+            path.pop()
+            pos_of[v] = -1
             cell.append(v)
-
-    def layout() -> Tuple[int, ...]:
-        order = [0] * p
-        for v, i in pos_of.items():
-            order[i] = v
-        return tuple(order)
+            if back < i:
+                return back
+        return p
 
     place(0, -1)
     assert best_cols is not None
@@ -454,20 +483,18 @@ def canonical_form(g: Graph) -> Tuple[int, Tuple[Edge, ...]]:
     return (p, edges)
 
 
-def _automorphisms(g: Graph) -> List[Tuple[int, ...]]:
-    """Aut(g), each automorphism a as the tuple (a(1), ..., a(p)).
+def _automorphism_generators(g: Graph) -> List[Tuple[int, ...]]:
+    """Generators of Aut(g), each automorphism a as the tuple (a(1), ..., a(p)).
 
-    An automorphism keeps the refined cells, so it carries the first best
-    layout of _canonical_search to a layout in the search with the same
-    columns.  Conversely, two layouts with the same columns differ by an
-    automorphism.  So the tied layouts, composed with the first one, are
-    exactly Aut(g), the identity first.  The list holds |Aut(g)| tuples
-    (p! for K_p and for an edgeless g), so this is for small graphs only.
+    These are the automorphisms that _canonical_search reads off the
+    layouts that tie with its best one; its docstring shows that they
+    generate Aut(g) (McKay, Practical graph isomorphism, 1981).  The
+    list is empty when Aut(g) is trivial.  It is not a group: close it
+    under composition for the elements.
     """
-    ties: List[Tuple[int, ...]] = []
-    _canonical_search(g, ties)
-    pos = {v: i for i, v in enumerate(ties[0])}
-    return [tuple(tie[pos[v]] for v in g.vertices()) for tie in ties]
+    gens: List[Tuple[int, ...]] = []
+    _canonical_search(g, gens)
+    return gens
 
 
 def canonical_relabel(g: Graph) -> Graph:

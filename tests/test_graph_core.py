@@ -1,8 +1,10 @@
+import cProfile
 import os
+import pstats
 import random
 import subprocess
 import sys
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -12,7 +14,7 @@ from iceflower.graph import (
     MAX_CANONICAL_VERTICES,
     MAX_VERTICES,
     Graph,
-    _automorphisms,
+    _automorphism_generators,
     _refine_colors,
     are_isomorphic,
     canonical_form,
@@ -473,6 +475,23 @@ def test_graph_classes_canonicalizes_one_mask_per_orbit_for_p_2_to_6(monkeypatch
     assert [calls.count(p) for p in range(1, 7)] == [0, 2, 4, 11, 37, 184]
 
 
+def test_graph_classes_1_to_7_makes_35332_place_calls():
+    # the canonical search's work from a cold cache; it made 87,022 calls
+    # when it still walked every layout that ties with its best one
+    graph_classes.cache_clear()
+    prof = cProfile.Profile()
+    try:
+        prof.runcall(graph_classes, 7)
+    finally:
+        graph_classes.cache_clear()
+    calls = sum(
+        stat[1]
+        for (path, _, name), stat in pstats.Stats(prof).stats.items()
+        if name == "place" and path.endswith("graph.py")
+    )
+    assert calls == 35332
+
+
 def test_graph_classes_7_equals_the_min_degree_sweep():
     got = graph_classes(7)
     want = _graph_classes_sweep(7, min_degree=True)
@@ -489,14 +508,114 @@ def _automorphisms_bruteforce(g):
     }
 
 
+def _union(*graphs):
+    """The disjoint union, each graph shifted past the ones before it."""
+    edges, shift = [], 0
+    for g in graphs:
+        edges += [(u + shift, v + shift) for u, v in g.edges()]
+        shift += g.p
+    return Graph(shift, edges)
+
+
+def _petersen():
+    outer = [(i, i % 5 + 1) for i in range(1, 6)]
+    spokes = [(i, i + 5) for i in range(1, 6)]
+    inner = [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
+    return Graph(10, outer + spokes + inner)
+
+
+def _hypercube(d):
+    """Q_d: vertex x + 1 for each bit string x, joined when one bit differs."""
+    n = 1 << d
+    return Graph(n, [(x + 1, (x | 1 << b) + 1) for x in range(n) for b in range(d) if not x >> b & 1])
+
+
+def _wheel(n):
+    """The hub 1 joined to every vertex of the cycle 2..n."""
+    rim = [(i, i + 1) for i in range(2, n)] + [(2, n)]
+    return Graph(n, rim + [(1, i) for i in range(2, n + 1)])
+
+
+def _generated_group(gens, p):
+    """Every product of the generators, the identity included."""
+    group = {tuple(range(1, p + 1))}
+    stack = list(group)
+    while stack:
+        a = stack.pop()
+        for b in gens:
+            ab = tuple(b[a[v] - 1] for v in range(p))
+            if ab not in group:
+                group.add(ab)
+                stack.append(ab)
+    return group
+
+
+def _keeps_edges(g, a):
+    edges = set(g.edges())
+    return {tuple(sorted((a[u - 1], a[v - 1]))) for u, v in edges} == edges
+
+
 def test_automorphisms_equal_the_brute_force_group():
     graphs = [g for p in range(1, 7) for g in graph_classes(p)]
     graphs += [complete_graph(6), cycle_graph(6), path_graph(6)]
     graphs += [Graph(p) for p in range(1, 7)]
     for g in graphs:
-        autos = _automorphisms(g)
-        assert len(autos) == len(set(autos))
-        assert set(autos) == _automorphisms_bruteforce(g), g.edges()
+        gens = _automorphism_generators(g)
+        assert all(_keeps_edges(g, a) for a in gens), g.edges()
+        assert _generated_group(gens, g.p) == _automorphisms_bruteforce(g), g.edges()
+
+
+def test_automorphism_generators_give_the_group_orders_of_larger_graphs():
+    # graphs too big for the brute-force group, with their known orders
+    cases = [
+        (_petersen(), 120),
+        (_hypercube(3), 48),
+        (_hypercube(4), 384),
+        (cycle_graph(12), 24),
+        (complete_bipartite_graph(3, 4), 144),
+        (_union(*[complete_graph(3)] * 3), 1296),
+        (Graph(7), 5040),
+    ]
+    for g, order in cases:
+        gens = _automorphism_generators(g)
+        assert all(_keeps_edges(g, a) for a in gens), g.edges()
+        assert len(_generated_group(gens, g.p)) == order, g.edges()
+
+
+def _refine_colors_reference(g):
+    """_refine_colors as it was on dicts keyed by vertex."""
+    color = {v: g.degree(v) for v in g.vertices()}
+    ncells = len(set(color.values()))
+    while True:
+        sig = {
+            v: (color[v], tuple(sorted(color[w] for w in g.neighbors(v))))
+            for v in g.vertices()
+        }
+        ordered = sorted(set(sig.values()))
+        index = {s: i for i, s in enumerate(ordered)}
+        color = {v: index[sig[v]] for v in g.vertices()}
+        if len(ordered) == ncells:
+            break
+        ncells = len(ordered)
+    cells = {}
+    for v in g.vertices():
+        cells.setdefault(color[v], []).append(v)
+    return [sorted(cells[c]) for c in sorted(cells)]
+
+
+def test_refine_colors_equals_the_dict_reference():
+    # canonical_form's bytes depend on the cells and on their order
+    rng = random.Random(14)
+    graphs = [_shuffled(rng, g) for p in range(1, 8) for g in graph_classes(p)]
+    for _ in range(200):
+        p = rng.randrange(8, 15)
+        density = rng.random()
+        graphs.append(Graph(p, [e for e in combinations(range(1, p + 1), 2) if rng.random() < density]))
+    graphs += [cycle_graph(n) for n in range(3, 13)]
+    graphs += [complete_bipartite_graph(a, b) for a in range(1, 7) for b in range(a, 7)]
+    graphs += [_petersen(), _hypercube(3), _hypercube(4)]
+    for g in graphs:
+        assert _refine_colors(g) == _refine_colors_reference(g), g.edges()
 
 
 def _canonical_form_reference(g):
@@ -563,6 +682,35 @@ def test_canonical_form_equals_the_unpruned_reference():
         p = rng.randrange(8, 11)
         h = random_connected_graph(rng, p, rng.randrange(0, 2 * p))
         assert canonical_form(h) == _canonical_form_reference(h)
+
+
+def test_canonical_form_equals_the_reference_where_tied_layouts_jump_back():
+    # graphs with large automorphism groups, where most leaves tie
+    rng = random.Random(26)
+    graphs = [complete_graph(n) for n in range(1, 9)]
+    graphs += [complete_bipartite_graph(a, b) for a in range(1, 8) for b in range(a, 9 - a)]
+    k1, k2 = Graph(1), complete_graph(2)
+    graphs += [_union(*[k2] * 4), _union(*[complete_graph(3)] * 2),
+               _union(*[cycle_graph(4)] * 2), _union(k1, k2, k2, k2)]
+    graphs += [_wheel(n) for n in range(4, 9)]
+    graphs += [cycle_graph(n) for n in range(3, 11)]
+    graphs += [_petersen(), _hypercube(3)]
+    for g in graphs:
+        want = canonical_form(g)
+        for _ in range(3):
+            h = _shuffled(rng, g)
+            assert canonical_form(h) == _canonical_form_reference(h) == want, g.edges()
+
+
+def test_canonical_form_of_graphs_with_large_groups_is_fast_and_invariant():
+    # K_11 alone has 11! layouts that tie; the search reads only a few
+    rng = random.Random(11)
+    graphs = [complete_graph(11), complete_bipartite_graph(6, 6),
+              _union(*[complete_graph(2)] * 6), _hypercube(4)]
+    for g in graphs:
+        assert canonical_form(_shuffled(rng, g)) == canonical_form(g)
+    for n in range(1, 12):
+        assert canonical_form(complete_graph(n)) == (n, tuple(combinations(range(1, n + 1), 2)))
 
 
 def test_canonical_form_of_symmetric_12_vertex_graphs_is_fast_and_invariant():
