@@ -212,9 +212,6 @@ class _Plan(NamedTuple):
     is_pendant: List[bool]  # degree 1, with its support placed earlier
     prev_sibling: List[int]  # previous pendant on the same support, or -1
     deg: List[int]
-    # after position i: each earlier neighbor j of i that still has
-    # neighbors beyond i, with how many
-    need: List[List[Tuple[int, int]]]
 
 
 def _plan(g: Graph) -> _Plan:
@@ -243,15 +240,8 @@ def _plan(g: Graph) -> _Plan:
             if sup in last_at:
                 prev_sibling[i] = last_at[sup]
             last_at[sup] = i
-    need: List[List[Tuple[int, int]]] = []
-    for i, back in enumerate(earlier):
-        need.append([])
-        for j in back:
-            n = sum(1 for w in g._adj[order[j]] if pos[w] > i)
-            if n:
-                need[i].append((j, n))
     deg = [g.degree(v) for v in order]
-    return _Plan(order, earlier, is_pendant, prev_sibling, deg, need)
+    return _Plan(order, earlier, is_pendant, prev_sibling, deg)
 
 
 def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
@@ -263,21 +253,27 @@ def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
     Each vertex starts from a bitmask of candidate colors: c stays only
     if it differs from every earlier neighbor j and the edge color
     c + f(j) - k or c + f(j) + k is still free at j, so the edge step
-    only has to keep the new edges distinct.  Two capacity checks read
-    the table _tables(M, k) of edge colors each vertex color can carry:
-    a vertex of degree d keeps only the colors that reach at least d
-    edge colors, and once a vertex and its edges are placed, each earlier
-    neighbor must still reach, among its unused edge colors, as many as
-    it has neighbors left to place.  Pendant twins are forced into
-    increasing edge colors to kill the factorial blowup at high-degree
-    centers.  An edgeless graph takes the same search: at k = 0 every
-    vertex gets color 1.
+    only has to keep the new edges distinct.  One capacity check reads
+    the table fit of _tables(M, k): a vertex of degree d keeps only the
+    colors whose reach, the edge colors that vertex color can carry,
+    holds at least d colors.  Pendant twins are forced into increasing
+    edge colors to kill the factorial blowup at high-degree centers.  An
+    edgeless graph takes the same search: at k = 0 every vertex gets
+    color 1.
 
-    The mask and both checks drop only subtrees that hold no completion,
-    so the nodes that remain are visited in the same order as when every
-    color is tried: the first witness is the same, and None is the
-    outcome of an exhaustive search.  They add no recursion, so the
-    search depth, and with it MAX_SEARCH_ELEMENTS, is unchanged.
+    fit implies that no placed vertex runs out of edge colors later.
+    Every edge color that the edge step or the pendant branch puts
+    between colors c and c' lies in both reach[c] and reach[c'], and a
+    vertex's edge colors are distinct.  So a non-pendant vertex j of
+    degree d, with e edges colored, still has at least d - e unused
+    colors of reach[f(j)], one for each neighbor left to place; a
+    pendant has no neighbor after its support.
+
+    The mask and fit drop only subtrees that hold no completion, so the
+    nodes that remain are visited in the same order as when every color
+    is tried: the first witness is the same, and None is the outcome of
+    an exhaustive search.  They add no recursion, so the search depth,
+    and with it MAX_SEARCH_ELEMENTS, is unchanged.
 
     The layout of the search (_plan) depends on g alone, and the tables
     (_tables) on (M, k) alone; chi_fdt lays g out once for all its
@@ -296,7 +292,7 @@ def _search(g: Graph, plan: _Plan, M: int) -> Optional[TotalColoring]:
     if M < g.max_degree() + 1:
         return None
 
-    order, earlier, is_pendant, prev_sibling, deg, need = plan
+    order, earlier, is_pendant, prev_sibling, deg = plan
     p = g.p
     vcol = [0] * p
     emask = [0] * p  # bitmask of edge colors used at each position
@@ -306,16 +302,7 @@ def _search(g: Graph, plan: _Plan, M: int) -> Optional[TotalColoring]:
     free = [[0] * len(back) for back in earlier]
     full = (1 << (M + 1)) - 2  # bits 1..M
     k = 0  # the common weight being searched
-    reach: Tuple[int, ...] = ()  # reach[c]: the edge colors color c can carry
     fit: Tuple[int, ...] = ()  # fit[d]: the colors c with at least d colors in reach[c]
-
-    def capacity_left(i: int) -> bool:
-        """Every earlier neighbor of the placed position i can still give
-        its remaining edges distinct colors from its reach."""
-        for j, n in need[i]:
-            if (reach[vcol[j]] & ~emask[j]).bit_count() < n:
-                return False
-        return True
 
     def place(i: int) -> bool:
         if i == p:
@@ -336,26 +323,29 @@ def _search(g: Graph, plan: _Plan, M: int) -> Optional[TotalColoring]:
                     emask[j] |= bit
                     emask[i] = bit
                     echoice[i][0] = e
-                    if capacity_left(i) and place(i + 1):
+                    if place(i + 1):
                         return True
                     emask[i] = 0
                     emask[j] &= ~bit
                     vcol[i] = 0
             return False
-        cand = _candidate_colors(full, k, back, vcol, emask, free[i]) & fit[deg[i]]
+        open_at = free[i]
+        cand = _candidate_colors(full, k, back, vcol, emask, open_at) & fit[deg[i]]
         while cand:
             low = cand & -cand
             cand ^= low
             c = low.bit_length() - 1
             vcol[i] = c
-            if color_edges(i, c, 0, 0) if back else place(i + 1):
+            if color_edges(i, c, back, open_at, echoice[i], 0, 0) if back else place(i + 1):
                 return True
         vcol[i] = 0
         return False
 
-    def color_edges(i: int, c: int, idx: int, local: int) -> bool:
-        """Color the edges from position i to earlier[i][idx:], then place i + 1."""
-        back = earlier[i]
+    def color_edges(
+        i: int, c: int, back: List[int], open_at: List[int], chosen: List[int], idx: int, local: int
+    ) -> bool:
+        """Color the edges from position i to back[idx:], then place i + 1.
+        back, open_at and chosen are earlier[i], free[i] and echoice[i]."""
         j = back[idx]
         cj = vcol[j]
         s = c + cj
@@ -364,19 +354,19 @@ def _search(g: Graph, plan: _Plan, M: int) -> Optional[TotalColoring]:
         opts = 1 << (s + k)
         if k and cj != k and s > k:
             opts |= 1 << (s - k)
-        opts &= free[i][idx] & ~local
+        opts &= open_at[idx] & ~local
         last = idx + 1 == len(back)
         while opts:
             bit = opts & -opts
             opts ^= bit
             emask[j] |= bit
-            echoice[i][idx] = bit.bit_length() - 1
+            chosen[idx] = bit.bit_length() - 1
             if last:
                 emask[i] = local | bit
-                if capacity_left(i) and place(i + 1):
+                if place(i + 1):
                     return True
                 emask[i] = 0
-            elif color_edges(i, c, idx + 1, local | bit):
+            elif color_edges(i, c, back, open_at, chosen, idx + 1, local | bit):
                 return True
             emask[j] ^= bit
         return False
@@ -384,7 +374,7 @@ def _search(g: Graph, plan: _Plan, M: int) -> Optional[TotalColoring]:
     # a search that fails undoes every vertex and edge color it set, so
     # each k starts from all-zero vcol and emask
     for k in range(0, 2 * M - 1):
-        reach, fit = _tables(M, k)
+        fit = _tables(M, k)[1]
         if place(0):
             vc = {order[i]: vcol[i] for i in range(p)}
             ec: Dict[EdgeKey, int] = {}

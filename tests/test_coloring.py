@@ -1,4 +1,6 @@
+import cProfile
 import itertools
+import pstats
 import random
 
 import pytest
@@ -352,11 +354,21 @@ def reference_find_fdt_coloring(g, palette):
     return None
 
 
+def _palette_shaped_graphs():
+    """40 graphs shaped like the palette benchmark: p = 10-11, p/2 to p
+    chords on a random tree."""
+    rng = random.Random(13)
+    gs = []
+    for _ in range(40):
+        p = rng.choice((10, 11))
+        gs.append(random_connected_graph(rng, p, rng.randint(p // 2, p)))
+    return gs
+
+
 def _differential_graphs():
     """(graph, palettes) pairs: small graphs at every palette up to
-    2 Delta + 2, and graphs shaped like the palette benchmark (p = 10-11,
-    p/2 to p chords on a random tree) at Delta + 1..Delta + 3, where most
-    palettes have no coloring and the capacity bound cuts hardest."""
+    2 Delta + 2, and the palette-shaped graphs at Delta + 1..Delta + 3,
+    where most palettes have no coloring and the fit bound cuts hardest."""
     gs = [t for p in range(1, 9) for t in free_trees(p)]
     gs += [complete_graph(n) for n in range(1, 6)]
     gs += [cycle_graph(n) for n in range(3, 9)]
@@ -367,11 +379,7 @@ def _differential_graphs():
         p = rng.randrange(2, 10)
         gs.append(random_connected_graph(rng, p, rng.randrange(0, p + 1)))
     cases = [(g, range(1, 2 * g.max_degree() + 3)) for g in gs]
-    rng = random.Random(13)
-    for _ in range(40):
-        p = rng.choice((10, 11))
-        g = random_connected_graph(rng, p, rng.randint(p // 2, p))
-        cases.append((g, range(g.max_degree() + 1, g.max_degree() + 4)))
+    cases += [(g, range(g.max_degree() + 1, g.max_degree() + 4)) for g in _palette_shaped_graphs()]
     return cases
 
 
@@ -454,6 +462,64 @@ def test_reach_is_every_edge_color_a_vertex_color_can_carry():
                     if 1 <= e <= M and e != c
                 }
                 assert {e for e in range(M + 2) if reach[c] >> e & 1} == want, (M, k, c)
+
+
+def _edge_step_colors(M, k, c, cj):
+    """The edge colors the edge step can give the edge from a vertex of
+    color c to an earlier neighbor of color cj, before it drops the
+    colors already used at either end."""
+    s = c + cj
+    opts = {s + k}
+    if k and cj != k and s > k:
+        opts.add(s - k)
+    return {e for e in opts if 1 <= e <= M and e != cj}
+
+
+def _pendant_edge_colors(M, k, c, cj):
+    """The edge colors the pendant branch can give the edge from a pendant
+    of color c to its support of color cj."""
+    return {
+        e
+        for e in range(1, M + 1)
+        if e != cj
+        for l in ((e - k - cj,) if k == 0 else (e - k - cj, e + k - cj))
+        if l == c and 1 <= l <= M and l != cj and l != e
+    }
+
+
+def test_every_edge_color_the_search_places_is_in_the_reach_of_both_ends():
+    """With fit, this is why no vertex runs out of edge colors after it is
+    placed: its edge colors are distinct and all in its reach, and fit
+    gave it a reach of at least its degree."""
+    placed_somewhere = 0
+    for M in range(1, 13):
+        for k in range(0, 2 * M - 1):
+            reach = _tables(M, k)[0]
+            for c in range(1, M + 1):
+                for cj in range(1, M + 1):
+                    if cj == c:
+                        continue
+                    placed = _edge_step_colors(M, k, c, cj) | _pendant_edge_colors(M, k, c, cj)
+                    both = reach[c] & reach[cj]
+                    assert all(both >> e & 1 for e in placed), (M, k, c, cj, placed)
+                    placed_somewhere += len(placed)
+    assert placed_somewhere > 0
+
+
+def test_chi_fdt_on_the_palette_shaped_graphs_makes_30420_place_calls():
+    # the search's work; it was the same when every placement also checked
+    # that each earlier neighbor could still color its remaining edges,
+    # a check the fit bound implies
+    gs = _palette_shaped_graphs()
+    prof = cProfile.Profile()
+    res = prof.runcall(lambda: [chi_fdt(g, 3 * g.max_degree() + 2) for g in gs])
+    assert all(r.m is not None for r in res)
+    calls = sum(
+        stat[1]
+        for (path, _, name), stat in pstats.Stats(prof).stats.items()
+        if name == "place" and path.endswith("coloring.py")
+    )
+    assert calls == 30420
 
 
 def test_search_size_limit_is_a_value_error_not_a_recursion_error():
