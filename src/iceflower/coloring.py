@@ -185,9 +185,12 @@ def _tables(M: int, k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     is the bitmask of the colors c whose reach[c] holds at least d edge
     colors.
 
-    Both depend on (M, k) alone, so every graph and every palette sweep
-    shares them.  The cache is bounded because one pair is O(M^2) bits,
-    and an unbounded cache would keep every k of every palette searched.
+    The search masks each vertex's colors by fit of its degree, and the
+    pendant completion gives each pendant's edge a color of its
+    support's reach.  Both depend on (M, k) alone, so every graph and
+    every palette sweep shares them.  The cache is bounded because one
+    pair is O(M^2) bits, and an unbounded cache would keep every k of
+    every palette searched.
     """
     full = (1 << (M + 1)) - 2
     reach = [0] * (M + 1)
@@ -210,7 +213,6 @@ class _Plan(NamedTuple):
     order: List[int]  # the vertex at each position
     earlier: List[List[int]]  # positions of the earlier neighbors, ascending
     is_pendant: List[bool]  # degree 1, with its support placed earlier
-    prev_sibling: List[int]  # previous pendant on the same support, or -1
     deg: List[int]
 
 
@@ -223,51 +225,70 @@ def _plan(g: Graph) -> _Plan:
             % (MAX_SEARCH_ELEMENTS, g.p + g.q)
         )
     order = _search_order(g)
-    p = g.p
     pos = {v: i for i, v in enumerate(order)}
     earlier = [
         sorted(pos[w] for w in g._adj[v] if pos[w] < i)
         for i, v in enumerate(order)
     ]
     is_pendant = [
-        g.degree(order[i]) == 1 and len(earlier[i]) == 1 for i in range(p)
+        g.degree(order[i]) == 1 and len(earlier[i]) == 1 for i in range(g.p)
     ]
-    prev_sibling = [-1] * p
-    last_at: Dict[int, int] = {}
-    for i in range(p):
-        if is_pendant[i]:
-            sup = earlier[i][0]
-            if sup in last_at:
-                prev_sibling[i] = last_at[sup]
-            last_at[sup] = i
     deg = [g.degree(v) for v in order]
-    return _Plan(order, earlier, is_pendant, prev_sibling, deg)
+    return _Plan(order, earlier, is_pendant, deg)
 
 
 def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
     """Search for a proper total coloring with every edge weight equal.
 
     Tries the common weight k = 0, 1, ... in turn; within each k,
-    backtracks over vertices (colors ascending) and derives edge colors,
-    which have at most two candidates per edge once both ends are known.
-    Each vertex starts from a bitmask of candidate colors: c stays only
-    if it differs from every earlier neighbor j and the edge color
-    c + f(j) - k or c + f(j) + k is still free at j, so the edge step
-    only has to keep the new edges distinct.  One capacity check reads
-    the table fit of _tables(M, k): a vertex of degree d keeps only the
-    colors whose reach, the edge colors that vertex color can carry,
-    holds at least d colors.  Pendant twins are forced into increasing
-    edge colors to kill the factorial blowup at high-degree centers.  An
-    edgeless graph takes the same search: at k = 0 every vertex gets
-    color 1.
+    backtracks over the vertices that are not pendants (colors
+    ascending) and derives edge colors, which have at most two
+    candidates per edge once both ends are known.  A pendant is a vertex
+    of degree 1 whose support, its one neighbor, comes earlier in the
+    search order.  Each vertex starts from a bitmask of candidate
+    colors: c stays only if it differs from every earlier neighbor j and
+    the edge color c + f(j) - k or c + f(j) + k is still free at j, so
+    the edge step only has to keep the new edges distinct.  One capacity
+    check reads the table fit of _tables(M, k): a vertex of degree d
+    keeps only the colors whose reach, the edge colors that vertex color
+    can carry, holds at least d colors.  An edgeless graph takes the
+    same search: at k = 0 every vertex gets color 1.
 
     fit implies that no placed vertex runs out of edge colors later.
-    Every edge color that the edge step or the pendant branch puts
+    Every edge color that the edge step or the pendant completion puts
     between colors c and c' lies in both reach[c] and reach[c'], and a
     vertex's edge colors are distinct.  So a non-pendant vertex j of
     degree d, with e edges colored, still has at least d - e unused
-    colors of reach[f(j)], one for each neighbor left to place; a
-    pendant has no neighbor after its support.
+    colors of reach[f(j)], one for each neighbor left to color.
+
+    Pendants are colored after the search, in search order, once every
+    other vertex is placed.  The edge from pendant i to its support j
+    gets the lowest color e of reach[f(j)] not yet used at j, and i gets
+    l = e - k - f(j) when 0 < l <= M and l != f(j), else e + k - f(j).
+    This is exact:
+
+    - Nothing else depends on a pendant.  A pendant touches only its
+      support, and no vertex has a pendant among its earlier neighbors,
+      since a pendant's only neighbor is its support, which comes
+      before it.
+    - A pendant's edge colors are exactly reach[f(j)]: e is in it just
+      when some l in 1..M, other than f(j) and e, has l + f(j) + k = e,
+      or l + f(j) - k = e with k != 0, and that l is the pendant color
+      chosen above.
+    - Every pendant can still be colored.  The support is not a
+      pendant, so by the fit argument it keeps an unused reach color
+      for each of its pendants left to color.  Every placement of the
+      other vertices extends to the pendants, and None is still the
+      outcome of an exhaustive search.
+    - The choices are those of a search that also backtracks over
+      pendants, edge colors ascending, with the pendants of one support
+      in ascending edge colors.  The search order takes a pendant only
+      once every vertex left in its component is a pendant, so every
+      other edge at j is colored before it.  The lowest unused color
+      then lies above the previous sibling's, and it is the first
+      choice that search makes, with the same pendant color.  A
+      pendant choice never fails, so the other vertices are placed as
+      in that search, and the witness is the same.
 
     The mask and fit drop only subtrees that hold no completion, so the
     nodes that remain are visited in the same order as when every color
@@ -292,7 +313,7 @@ def _search(g: Graph, plan: _Plan, M: int) -> Optional[TotalColoring]:
     if M < g.max_degree() + 1:
         return None
 
-    order, earlier, is_pendant, prev_sibling, deg = plan
+    order, earlier, is_pendant, deg = plan
     p = g.p
     vcol = [0] * p
     emask = [0] * p  # bitmask of edge colors used at each position
@@ -307,28 +328,9 @@ def _search(g: Graph, plan: _Plan, M: int) -> Optional[TotalColoring]:
     def place(i: int) -> bool:
         if i == p:
             return True
-        back = earlier[i]
         if is_pendant[i]:
-            j = back[0]
-            cj = vcol[j]
-            lo = echoice[prev_sibling[i]][0] + 1 if prev_sibling[i] >= 0 else 1
-            for e in range(lo, M + 1):
-                bit = 1 << e
-                if e == cj or emask[j] & bit:
-                    continue
-                for l in ((e - k - cj,) if k == 0 else (e - k - cj, e + k - cj)):
-                    if l < 1 or l > M or l == cj or l == e:
-                        continue
-                    vcol[i] = l
-                    emask[j] |= bit
-                    emask[i] = bit
-                    echoice[i][0] = e
-                    if place(i + 1):
-                        return True
-                    emask[i] = 0
-                    emask[j] &= ~bit
-                    vcol[i] = 0
-            return False
+            return place(i + 1)
+        back = earlier[i]
         open_at = free[i]
         cand = _candidate_colors(full, k, back, vcol, emask, open_at) & fit[deg[i]]
         while cand:
@@ -374,13 +376,25 @@ def _search(g: Graph, plan: _Plan, M: int) -> Optional[TotalColoring]:
     # a search that fails undoes every vertex and edge color it set, so
     # each k starts from all-zero vcol and emask
     for k in range(0, 2 * M - 1):
-        fit = _tables(M, k)[1]
+        reach, fit = _tables(M, k)
         if place(0):
-            vc = {order[i]: vcol[i] for i in range(p)}
             ec: Dict[EdgeKey, int] = {}
             for i in range(p):
+                if is_pendant[i]:
+                    # the support's lowest unused reach color, and a
+                    # pendant color that gives the edge weight k
+                    j = earlier[i][0]
+                    cj = vcol[j]
+                    left = reach[cj] & ~emask[j]
+                    assert left, "no edge color left at support %d" % order[j]
+                    bit = left & -left
+                    emask[j] |= bit
+                    e = echoice[i][0] = bit.bit_length() - 1
+                    l = e - k - cj
+                    vcol[i] = l if 0 < l <= M and l != cj else e + k - cj
                 for j, e in zip(earlier[i], echoice[i]):
                     ec[_norm_edge(order[i], order[j])] = e
+            vc = {order[i]: vcol[i] for i in range(p)}
             tc = TotalColoring(M, vc, ec)
             assert is_proper_total(g, tc)
             assert g.q == 0 or bfdt(g, tc).k == k

@@ -92,6 +92,32 @@ def test_lattice_hamiltonian(tmp_path):
     assert r2.exit_code == 1 and "not a member" in r2.note
 
 
+_TWO_TRIANGLES = Graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
+
+
+def test_lattice_hamiltonian_no_answers(tmp_path):
+    two_triangles = _file(tmp_path, "2c3.graph", write_graph(_TWO_TRIANGLES))
+    r = run(["lattice", "check", "hamiltonian", two_triangles])
+    assert (r.exit_code, r.payload, r.note) == (1, "", "not a member: disconnected")
+
+    outer = [(i, i % 5 + 1) for i in range(1, 6)]
+    spokes = [(i, i + 5) for i in range(1, 6)]
+    inner = [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
+    petersen = _file(tmp_path, "petersen.graph", write_graph(Graph(10, outer + spokes + inner)))
+    r2 = run(["lattice", "check", "hamiltonian", petersen])
+    assert (r2.exit_code, r2.payload, r2.note) == (1, "", "not a member: no spanning cycle")
+
+
+def test_lattice_planar_no_answers(tmp_path):
+    two_triangles = _file(tmp_path, "2c3.graph", write_graph(_TWO_TRIANGLES))
+    r = run(["lattice", "check", "planar", two_triangles])
+    assert (r.exit_code, r.payload, r.note) == (1, "", "not a member: disconnected")
+
+    leafy = _file(tmp_path, "leaf.graph", write_graph(Graph(4, [(1, 2), (2, 3), (1, 3), (3, 4)])))
+    r2 = run(["lattice", "check", "planar", leafy])
+    assert (r2.exit_code, r2.payload, r2.note) == (1, "", "not a member: has a leaf")
+
+
 def test_lattice_uncolored(tmp_path):
     k4 = _file(tmp_path, "k4.graph", write_graph(complete_graph(4)))
     r = run(["lattice", "check", "uncolored", k4, "--base", "2,3"])
@@ -204,6 +230,13 @@ def test_coloring_verify(tmp_path):
     assert r2.exit_code == 1 and "not a proper" in r2.note
 
 
+def test_coloring_verify_on_an_edgeless_graph(tmp_path):
+    f = TotalColoring(2, {1: 1, 2: 2, 3: 1}, {})
+    edgeless = _file(tmp_path, "e3.colored", write_colored(Graph(3, []), f))
+    r = run(["coloring", "verify", edgeless])
+    assert (r.exit_code, r.payload, r.note) == (0, "proper total; palette 2; no edges\n", "")
+
+
 def test_coloring_chi_fdt(tmp_path):
     from iceflower.families import complete_bipartite_graph
 
@@ -265,6 +298,16 @@ def test_saturate(tmp_path):
     assert r2.exit_code == 2  # copy list must name every star
 
 
+def test_saturate_with_mixed_star_sizes_is_a_no_with_the_document(tmp_path):
+    s3, s4 = build_uniform_fdt_system(3, 0), build_uniform_fdt_system(4, 0)
+    mixed = ColoredIceFlowerSystem((s3.stars[0], s4.stars[0]), (s3.colorings[0], s4.colorings[0]))
+    sysfile = _file(tmp_path, "mixed.system", write_system(mixed))
+    r = run(["saturate", sysfile, "--copies", "1,1"])
+    assert (r.exit_code, r.note) == (1, "not saturated")
+    g, f = read_colored(r.payload)
+    assert g.p == 7 and is_proper_total(g, f)
+
+
 def test_topcode_encode_decode(tmp_path):
     f = TotalColoring(3, {1: 1, 2: 2}, {(1, 2): 3})
     colored = _file(tmp_path, "k2.colored", write_colored(Graph(2, [(1, 2)]), f))
@@ -313,6 +356,26 @@ def test_topcode_solve(tmp_path):
     assert r5.exit_code == 0
     r6 = run(["topcode", "solve", s, "--q", "9"])
     assert r6.exit_code == 2  # no viable edge count for a 3-digit string
+
+
+def test_topcode_solve_reports_the_solutions_past_the_limit(tmp_path):
+    s = _file(tmp_path, "s.txt", "1342\n")
+    full = run(["topcode", "solve", s, "--q", "1", "--limit", "0"])
+    assert full.exit_code == 0 and full.payload.startswith("solutions 3\n")
+    r = run(["topcode", "solve", s, "--q", "1", "--limit", "1"])
+    assert (r.exit_code, r.note) == (0, "")
+    blocks = r.payload.split("\n\n")
+    assert blocks[0] == "solutions 3"
+    assert blocks[1] == full.payload.split("\n\n")[1]
+    assert blocks[2:] == ["... 2 more not shown (raise --limit)\n"]
+
+
+def test_empty_q_range_and_empty_sequence_are_bad_input(tmp_path):
+    s = _file(tmp_path, "s.txt", "132\n")
+    r = run(["topcode", "solve", s, "--q", "5:3"])
+    assert (r.exit_code, r.payload, r.note) == (2, "", "error: --q: empty range '5:3'")
+    r2 = run(["seq", "check", ","])
+    assert (r2.exit_code, r2.payload, r2.note) == (2, "", "error: sequence: empty list")
 
 
 def test_topcode_solve_over_a_vast_q_range_answers_as_its_one_fitting_q(tmp_path):

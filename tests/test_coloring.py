@@ -28,6 +28,7 @@ from iceflower.coloring import (
     find_fdt_coloring,
     is_proper_total,
 )
+from iceflower.leafops import disjoint_union
 from tests.conftest import greedy_proper_total, random_connected_graph
 
 
@@ -396,6 +397,57 @@ def test_masked_search_returns_the_reference_witness_at_every_palette():
                 assert got.edge_colors == want.edge_colors, (g.edges(), M)
 
 
+def _disconnected_graphs():
+    """Graphs whose first component searched is rich in pendants, with
+    more components after it: a pendant choice there never decides a
+    later component, so these are where coloring the pendants after the
+    search saves work."""
+    gs = [
+        disjoint_union(star_graph(m), complete_graph(n))[0]
+        for m in range(1, 5)
+        for n in range(1, 5)
+    ]
+    gs += [
+        disjoint_union(t, cycle_graph(n))[0]
+        for p in range(2, 6)
+        for t in free_trees(p)
+        for n in (3, 4)
+    ]
+    rng = random.Random(17)
+    for _ in range(120):
+        p = rng.randrange(2, 9)
+        pairs = itertools.combinations(range(1, p + 1), 2)
+        gs.append(Graph(p, [e for e in pairs if rng.random() < 0.3]))
+    return gs
+
+
+def test_disconnected_graphs_take_the_reference_witness_at_every_palette():
+    for g in _disconnected_graphs():
+        for M in range(1, 2 * g.max_degree() + 3):
+            want = reference_find_fdt_coloring(g, M)
+            assert _coloring_fields(find_fdt_coloring(g, M)) == _coloring_fields(want), (g.edges(), M)
+
+
+def _place_calls(fn):
+    prof = cProfile.Profile()
+    prof.runcall(fn)
+    return sum(
+        stat[1]
+        for (path, _, name), stat in pstats.Stats(prof).stats.items()
+        if name == "place" and path.endswith("coloring.py")
+    )
+
+
+def test_chi_fdt_on_a_star_beside_k6_makes_2137_place_calls():
+    # the star is searched first; re-trying its pendants' colors before
+    # each proof that K_6 has no coloring took 95,487 calls
+    g = disjoint_union(star_graph(6), complete_graph(6))[0]
+    res = []
+    assert _place_calls(lambda: res.append(chi_fdt(g, 10))) == 2137
+    assert res[0].m == 9
+    assert res[0].coloring == find_fdt_coloring(g, 9)
+
+
 def _coloring_fields(f):
     if f is None:
         return None
@@ -476,8 +528,8 @@ def _edge_step_colors(M, k, c, cj):
 
 
 def _pendant_edge_colors(M, k, c, cj):
-    """The edge colors the pendant branch can give the edge from a pendant
-    of color c to its support of color cj."""
+    """The edge colors the pendant completion can give the edge from a
+    pendant of color c to its support of color cj."""
     return {
         e
         for e in range(1, M + 1)
@@ -511,15 +563,9 @@ def test_chi_fdt_on_the_palette_shaped_graphs_makes_30420_place_calls():
     # that each earlier neighbor could still color its remaining edges,
     # a check the fit bound implies
     gs = _palette_shaped_graphs()
-    prof = cProfile.Profile()
-    res = prof.runcall(lambda: [chi_fdt(g, 3 * g.max_degree() + 2) for g in gs])
+    res = []
+    assert _place_calls(lambda: res.extend(chi_fdt(g, 3 * g.max_degree() + 2) for g in gs)) == 30420
     assert all(r.m is not None for r in res)
-    calls = sum(
-        stat[1]
-        for (path, _, name), stat in pstats.Stats(prof).stats.items()
-        if name == "place" and path.endswith("coloring.py")
-    )
-    assert calls == 30420
 
 
 def test_search_size_limit_is_a_value_error_not_a_recursion_error():
