@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 from . import formats
 from .coloring import bfdt, chi_fdt, is_proper_total
@@ -33,8 +32,7 @@ from .system import IceFlowerSystem, build_uniform_fdt_system, is_strongly_color
 from .topcode import realize_topcode, solve_dnsp, string_from_topcode, topcode_from_graph
 
 
-@dataclass
-class CommandResult:
+class CommandResult(NamedTuple):
     exit_code: int  # 0 success / 1 negative answer / 2 usage or format / 3 internal
     payload: str = ""  # stdout
     note: str = ""  # stderr

@@ -14,47 +14,40 @@ requires every color to sit inside {1..M}.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .graph import Graph, _norm_edge
+from .graph import Graph, _Record, _norm_edge
 
 EdgeKey = Tuple[int, int]
 
 
-@dataclass
-class TotalColoring:
+class TotalColoring(_Record):
     """Vertex and edge colors drawn from the palette bound `palette`."""
 
-    palette: int
-    vertex_colors: Dict[int, int]
-    edge_colors: Dict[EdgeKey, int]
+    __slots__ = _fields = ("palette", "vertex_colors", "edge_colors")
 
-    def __post_init__(self):
-        if self.palette < 1:
+    def __init__(self, palette: int, vertex_colors: Dict[int, int], edge_colors: Dict[EdgeKey, int]):
+        if palette < 1:
             raise ValueError("palette bound must be >= 1")
-        self.edge_colors = {_norm_edge(*e): c for e, c in self.edge_colors.items()}
-        for v, c in self.vertex_colors.items():
-            if not 0 <= c <= self.palette:
-                raise ValueError("vertex %d color %d outside 0..%d" % (v, c, self.palette))
-        for e, c in self.edge_colors.items():
-            if not 0 <= c <= self.palette:
-                raise ValueError("edge %s color %d outside 0..%d" % (e, c, self.palette))
+        edge_colors = {_norm_edge(*e): c for e, c in edge_colors.items()}
+        for v, c in vertex_colors.items():
+            if not 0 <= c <= palette:
+                raise ValueError("vertex %d color %d outside 0..%d" % (v, c, palette))
+        for e, c in edge_colors.items():
+            if not 0 <= c <= palette:
+                raise ValueError("edge %s color %d outside 0..%d" % (e, c, palette))
+        self._set(palette, vertex_colors, edge_colors)
 
     @classmethod
-    def _trusted(
-        cls, palette: int, vertex_colors: Dict[int, int], edge_colors: Dict[EdgeKey, int]
-    ) -> "TotalColoring":
-        """A coloring built without __post_init__, for a caller that already
-        holds its invariants: palette >= 1, every edge key (u, v) with
-        u < v, and every color in 0..palette.  Topcode realizations
+    def _trusted(cls, palette: int, vertex_colors: Dict[int, int], edge_colors: Dict[EdgeKey, int]):
+        """A coloring built without __init__'s checks, for a caller that
+        already holds its invariants: palette >= 1, every edge key (u, v)
+        with u < v, and every color in 0..palette.  Topcode realizations
         (topcode._color, for realize_topcode and solve_dnsp) hold them by
         construction (keys from _norm_edge, palette the largest label, at
         least 1)."""
         tc = object.__new__(cls)
-        tc.palette = palette
-        tc.vertex_colors = vertex_colors
-        tc.edge_colors = edge_colors
+        tc.palette, tc.vertex_colors, tc.edge_colors = palette, vertex_colors, edge_colors
         return tc
 
     def vertex(self, v: int) -> int:
@@ -96,8 +89,7 @@ def edge_weight(tc: TotalColoring, u: int, v: int) -> int:
     return abs(tc.vertex(u) + tc.vertex(v) - tc.edge(u, v))
 
 
-@dataclass
-class FdtReport:
+class FdtReport(NamedTuple):
     """Edge-weight summary of a total coloring."""
 
     weights: Dict[EdgeKey, int]
@@ -402,8 +394,7 @@ def _search(g: Graph, plan: _Plan, M: int) -> Optional[TotalColoring]:
     return None
 
 
-@dataclass
-class ChiFdtResult:
+class ChiFdtResult(NamedTuple):
     """Outcome of the minimum-palette search."""
 
     m: Optional[int]  # smallest palette admitting spread 0, if found

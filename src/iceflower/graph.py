@@ -28,6 +28,57 @@ def _check_order(p: int) -> None:
         raise ValueError("graphs take p <= %d vertices, got p = %d" % (MAX_VERTICES, p))
 
 
+class _Record:
+    """Base of the validated value types (a coloring, a star, a system...).
+
+    A subclass lists its field names, in __init__ order, as `_fields` and
+    as its `__slots__`, and its __init__ checks the values, then stores
+    them with _set.  == and repr read the fields: two records are equal
+    only when they are of one class and their fields are equal, and the
+    repr is `Name(field=value, ...)`.  A record is unhashable unless it is
+    frozen.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        """Store the field values, given in `_fields` order."""
+        for f, v in zip(self._fields, values):
+            object.__setattr__(self, f, v)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):  # with no __hash__ beside it, Python sets __hash__ = None
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields)
+        return "%s(%s)" % (self.__class__.__qualname__, fields)
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return self.__class__, self._values()
+
+
+class _FrozenRecord(_Record):
+    """A record whose fields are set once: assigning or deleting one
+    afterwards raises AttributeError, and the record hashes as the tuple
+    of its field values."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __hash__(self):
+        return hash(self._values())
+
+
 class Graph:
     """Simple undirected graph on the vertex set {1, ..., p}."""
 

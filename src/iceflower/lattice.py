@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import random
 from itertools import accumulate, islice, product
-from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .graph import (
     Graph,
+    _Record,
     _check_order,
     _norm_edge,
     canonical_form,
@@ -33,8 +33,7 @@ from .system import ColoredIceFlowerSystem, IceFlowerSystem, Star, make_star
 Step = Tuple[int, int, int, int]  # (instance, leaf slot, instance, leaf slot)
 
 
-@dataclass
-class CoincideScript:
+class CoincideScript(_Record):
     """A star multiset plus merge steps; replaying rebuilds one graph.
 
     Star instances are numbered 1..sum(coefficients), grouped by base
@@ -43,17 +42,16 @@ class CoincideScript:
     by at most one step.
     """
 
-    base: IceFlowerSystem
-    coefficients: Tuple[int, ...]
-    steps: Tuple[Step, ...]
+    __slots__ = _fields = ("base", "coefficients", "steps")
 
-    def __post_init__(self):
-        if len(self.coefficients) != self.base.n:
+    def __init__(self, base: IceFlowerSystem, coefficients: Tuple[int, ...], steps: Tuple[Step, ...]):
+        if len(coefficients) != base.n:
             raise ValueError("one coefficient per base star required")
-        if any(a < 0 for a in self.coefficients):
+        if any(a < 0 for a in coefficients):
             raise ValueError("coefficients must be non-negative")
-        if sum(self.coefficients) < 1:
+        if sum(coefficients) < 1:
             raise ValueError("at least one star copy required")
+        self._set(base, coefficients, steps)
 
 
 def _replay(
@@ -191,8 +189,7 @@ def euler_expression(g: Graph) -> Optional[CoincideScript]:
 # -- haired cycles and the hamiltonian view --------------------------------
 
 
-@dataclass
-class HairedCycle:
+class HairedCycle(NamedTuple):
     """A cycle of former star centers with leftover pendant leaves."""
 
     graph: Graph
@@ -235,8 +232,7 @@ def build_haired_cycle(degrees: Sequence[int]) -> HairedCycle:
     return hc
 
 
-@dataclass
-class ClosureResult:
+class ClosureResult(NamedTuple):
     graphs: List[Graph]  # canonically labeled, sorted, deduplicated
     partial: bool  # True when sampling replaced the exhaustive sweep
 

@@ -18,7 +18,6 @@ once as a key and its mirror by _color_key.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .graph import Edge, Graph, _check_order, _norm_edge
@@ -69,15 +68,13 @@ def leaf_edges(g: Graph) -> list:
     return sorted(out)
 
 
-@dataclass
-class SplitResult:
+class SplitResult(NamedTuple):
     graph: Graph
     leaf_at_u: int  # the new leaf hanging on u (the first endpoint given)
     leaf_at_v: int  # the new leaf hanging on v
 
 
-@dataclass
-class CoincideResult:
+class CoincideResult(NamedTuple):
     graph: Graph
     vertex_map: Dict[int, int]  # old id -> new id for every surviving vertex
 
@@ -192,8 +189,7 @@ def leaf_coincide(g: Graph, e1: LeafEdge, e2: LeafEdge) -> CoincideResult:
     return CoincideResult(out, vertex_map)
 
 
-@dataclass
-class AcrossResult:
+class AcrossResult(NamedTuple):
     graph: Graph
     map1: Dict[int, int]  # vertex of H1 -> vertex of the result
     map2: Dict[int, int]  # vertex of H2 -> vertex of the result

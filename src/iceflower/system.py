@@ -13,24 +13,23 @@ leaf-edge's partners by the color key of leafops._color_key.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .graph import Edge, Graph, _check_order, is_delta_saturated
+from .graph import Edge, Graph, _FrozenRecord, _Record, _check_order, is_delta_saturated
 from .coloring import TotalColoring, is_proper_total, bfdt
 from .leafops import LeafEdge, Surgery, _color_key, _lay_out, leaf_coincide_across, leaf_edges
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(_FrozenRecord):
     """K_{1,m} in canonical layout: center 1, leaves 2..m+1.  Systems
     exclude single-leaf stars, so m < 2 is rejected here, once."""
 
-    m: int
+    __slots__ = _fields = ("m",)
 
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("stars in a system need m >= 2, got %d" % self.m)
+    def __init__(self, m: int):
+        if m < 2:
+            raise ValueError("stars in a system need m >= 2, got %d" % m)
+        self._set(m)
 
     @property
     def graph(self) -> Graph:
@@ -68,15 +67,15 @@ def star_coincide(s_i: Star, s_j: Star) -> Graph:
     return res.graph
 
 
-@dataclass
-class IceFlowerSystem:
+class IceFlowerSystem(_Record):
     """Ordered star collection (the uncolored backbone of a system)."""
 
-    stars: List[Star]
+    __slots__ = _fields = ("stars",)
 
-    def __post_init__(self):
-        if not self.stars:
+    def __init__(self, stars: List[Star]):
+        if not stars:
             raise ValueError("a system needs at least one star")
+        self._set(stars)
 
     @property
     def n(self) -> int:
@@ -86,7 +85,6 @@ class IceFlowerSystem:
         return tuple(s.m for s in self.stars)
 
 
-@dataclass
 class ColoredIceFlowerSystem(IceFlowerSystem):
     """Stars plus one proper total coloring per star.
 
@@ -94,19 +92,20 @@ class ColoredIceFlowerSystem(IceFlowerSystem):
     has weight exactly that constant (validated on construction).
     """
 
-    colorings: List[TotalColoring]
-    fdt_constant: Optional[int] = None
+    __slots__ = ("colorings", "fdt_constant")
+    _fields = ("stars", "colorings", "fdt_constant")
 
-    def __post_init__(self):
-        super().__post_init__()
-        if len(self.stars) != len(self.colorings):
+    def __init__(self, stars: List[Star], colorings: List[TotalColoring], fdt_constant: Optional[int] = None):
+        super().__init__(stars)
+        if len(stars) != len(colorings):
             raise ValueError("one coloring per star required")
-        for s, f in zip(self.stars, self.colorings):
+        for s, f in zip(stars, colorings):
             g = s.graph
             if not is_proper_total(g, f):
                 raise ValueError("star coloring is not proper total")
-            if self.fdt_constant is not None and bfdt(g, f).k != self.fdt_constant:
+            if fdt_constant is not None and bfdt(g, f).k != fdt_constant:
                 raise ValueError("star edge weights do not equal the declared constant")
+        self._set(stars, colorings, fdt_constant)
 
     @property
     def uniform(self) -> bool:
@@ -173,8 +172,7 @@ def build_uniform_fdt_system(n: int, k: int) -> ColoredIceFlowerSystem:
     return ColoredIceFlowerSystem(stars, colorings, fdt_constant=k)
 
 
-@dataclass
-class SaturateResult:
+class SaturateResult(NamedTuple):
     graph: Graph
     coloring: TotalColoring
     saturated: bool  # is every vertex at degree 1 or Delta?

@@ -9,41 +9,37 @@ too, since they ride on the same matrix machinery.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .graph import Graph, _norm_edge, is_connected, is_tree
+from .graph import Graph, _FrozenRecord, _norm_edge, is_connected, is_tree
 from .coloring import TotalColoring
 from .families import restricted_growth
 
 
-@dataclass(frozen=True)
-class TopcodeMatrix:
+class TopcodeMatrix(_FrozenRecord):
     """Three parallel rows X, E, Y; column i encodes one edge."""
 
-    X: Tuple[int, ...]
-    E: Tuple[int, ...]
-    Y: Tuple[int, ...]
+    __slots__ = _fields = ("X", "E", "Y")
 
-    def __post_init__(self):
-        if not (len(self.X) == len(self.E) == len(self.Y)):
+    def __init__(self, X: Tuple[int, ...], E: Tuple[int, ...], Y: Tuple[int, ...]):
+        if not (len(X) == len(E) == len(Y)):
             raise ValueError("rows must have equal length")
-        if len(self.X) < 1:
+        if len(X) < 1:
             raise ValueError("at least one column required")
-        for row in (self.X, self.E, self.Y):
+        for row in (X, E, Y):
             if any(v < 0 for v in row):
                 raise ValueError("entries must be non-negative")
+        self._set(X, E, Y)
 
     @classmethod
     def _trusted(cls, X: Tuple[int, ...], E: Tuple[int, ...], Y: Tuple[int, ...]) -> "TopcodeMatrix":
-        """A matrix built without __post_init__, for solve_dnsp only: its
+        """A matrix built without __init__'s checks, for solve_dnsp only: its
         rows are tuples of the same length q >= 1, read from digits, so no
         entry is negative."""
         m = object.__new__(cls)
-        fields = m.__dict__  # a frozen dataclass refuses setattr
-        fields["X"] = X
-        fields["E"] = E
-        fields["Y"] = Y
+        object.__setattr__(m, "X", X)
+        object.__setattr__(m, "E", E)
+        object.__setattr__(m, "Y", Y)
         return m
 
     @property

@@ -50,10 +50,17 @@ def test_decompose_rejects_disconnected(tmp_path):
     assert r.exit_code == 2 and r.payload == "" and r.note != ""
 
 
-def test_missing_file_and_bad_usage():
+def test_missing_file_and_bad_usage(tmp_path):
     assert run(["decompose", "/does/not/exist"]).exit_code == 2
     assert run(["no-such-command"]).exit_code == 2
-    assert run(["lattice", "check", "uncolored", "x"]).exit_code == 2  # no --base
+    missing = run(["lattice", "check", "uncolored", "/does/not/exist", "--base", "2"])
+    assert missing.exit_code == 2 and missing.note.startswith("error: cannot read ")
+    # a readable graph, so only the missing --base is wrong
+    g = _file(tmp_path, "p3.graph", write_graph(path_graph(3)))
+    for kind, wants in (("uncolored", "m1,m2,..."), ("colored", "SYSTEMFILE")):
+        r = run(["lattice", "check", kind, g])
+        assert (r.exit_code, r.payload) == (2, "")
+        assert r.note == "error: lattice check %s needs --base %s" % (kind, wants)
 
 
 def test_malformed_document_is_exit_2(tmp_path):
@@ -583,6 +590,52 @@ def test_rejected_input_exits_2_with_one_line_note(tmp_path, args, files):
     # run() words a bad value "error: " and a malformed document "format
     # error: "; an "internal error: " (exit 3) never passes
     assert r.note.startswith(("error: ", "format error: ")) and "\n" not in r.note
+
+
+_STAR_DOC = "3 2 5\n1 2 3\n1 2 4\n1 3 5\n"  # K_{1,2}, edge weight 0
+
+
+@pytest.mark.parametrize(
+    "args, text, note",
+    [
+        pytest.param(["topcode", "encode", "{a}"], "", "empty colored document", id="colored-empty"),
+        pytest.param(
+            ["iceflower", "strong-check", "{a}"], "system 2 1 -\n" + _STAR_DOC,
+            "system: fewer star documents than declared", id="system-too-few-stars",
+        ),
+        pytest.param(
+            ["iceflower", "strong-check", "{a}"], "system 1 1 -\n3 2 5\n2 1 3\n1 2 4\n2 3 5\n",
+            "system: star 1 is not a canonical star", id="system-center-not-vertex-1",
+        ),
+        pytest.param(
+            ["saturate", "{a}", "--copies", "1"], "system 1 1 -\n" + _STAR_DOC + "1 2\n",
+            "system: trailing lines after 1 stars", id="system-trailing-line",
+        ),
+        pytest.param(
+            ["recompose", "{a}"], "base 2\n2 1\n", "script: truncated base table", id="script-truncated",
+        ),
+        pytest.param(
+            ["recompose", "{a}"], "base 1\n1 1\nsteps 0\n",
+            "script: stars in a system need m >= 2, got 1", id="script-one-leaf-star",
+        ),
+        pytest.param(
+            ["topcode", "decode", "{a}"], "topcode row-major/1-2digit\n1,2\n3,4\n",
+            "topcode: expected exactly three row lines", id="topcode-two-rows",
+        ),
+        pytest.param(
+            ["topcode", "decode", "{a}"], "topcode row-major/1-2digit\n1,2\n3,4\n5\n",
+            "topcode: rows must have equal length", id="topcode-ragged-rows",
+        ),
+        pytest.param(
+            ["decompose", "{a}"], "system 1 1 -\n" + _STAR_DOC,
+            "expected a graph or colored-graph document, found system", id="graph-given-a-system",
+        ),
+    ],
+)
+def test_format_errors_exit_2_with_their_note(tmp_path, args, text, note):
+    path = _file(tmp_path, "doc", text)
+    r = run([a.format(a=path) for a in args])
+    assert (r.exit_code, r.payload, r.note) == (2, "", "format error: " + note)
 
 
 def _fresh_process(argv):

@@ -257,6 +257,25 @@ def test_import_iceflower_leaves_networkx_unloaded():
     assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
+@pytest.mark.parametrize("module", ["iceflower", "iceflower.cli"])
+def test_import_iceflower_leaves_dataclasses_and_inspect_unloaded(module):
+    # the records are NamedTuples and __slots__ classes, so no import
+    # pulls in dataclasses and the inspect/ast/dis modules behind it
+    src = os.path.dirname(os.path.dirname(iceflower.__file__))
+    code = (
+        "import sys; before = set(sys.modules); import %s; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))" % module
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
 def test_canonical_form_is_isomorphism_invariant():
     rng = random.Random(3)
     for _ in range(50):
