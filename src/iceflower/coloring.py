@@ -112,8 +112,10 @@ def bfdt(g: Graph, tc: TotalColoring) -> FdtReport:
 # -- the equal-weight solver -----------------------------------------------
 
 # The search recurses once per vertex and once per edge back to an earlier
-# vertex, so it needs at most p + q + 2 stack frames.  Python's default
-# recursion limit is 1000; this leaves about 200 frames to the callers.
+# vertex, except that a vertex with two earlier neighbors colors both its
+# edges in its own frame, so p + q + 2 stack frames is still an upper
+# bound.  Python's default recursion limit is 1000; this leaves about 200
+# frames to the callers.
 MAX_SEARCH_ELEMENTS = 800
 
 
@@ -288,6 +290,19 @@ def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
     an exhaustive search.  They add no recursion, so the search depth,
     and with it MAX_SEARCH_ELEMENTS, is unchanged.
 
+    A vertex with exactly two earlier neighbors, the most common kind on
+    random graphs, takes one fused step instead of _candidate_colors and
+    a color_edges call per edge.  It reads both neighbors' colors and
+    open edge colors once, builds the same candidate mask, fit included,
+    and for each color walks its two edges' colors in one loop nest:
+    each edge's colors ascending, the second edge's other than the
+    first's, then the next vertex.  These are the nodes color_edges
+    visits, in its order, in one frame instead of three.  The step
+    writes its edge colors to echoice only when the rest of the search
+    has succeeded.  That is exact because nothing reads echoice while
+    the search runs: only the assembly of the witness does, after every
+    position on the path to it has returned True.
+
     The layout of the search (_plan) depends on g alone, and the tables
     (_tables) on (M, k) alone; chi_fdt lays g out once for all its
     palettes.  The tables are cached for the 128 most recent (M, k)
@@ -323,6 +338,59 @@ def _search(g: Graph, plan: _Plan, M: int) -> Optional[TotalColoring]:
         if is_pendant[i]:
             return place(i + 1)
         back = earlier[i]
+        if len(back) == 2:
+            # _candidate_colors and color_edges fused for two earlier
+            # neighbors j0 < j1: the same mask, the same nodes in the same
+            # order, one frame per vertex instead of three
+            j0, j1 = back
+            c0, c1 = vcol[j0], vcol[j1]
+            a0 = full & ~(emask[j0] | 1 << c0)
+            a1 = full & ~(emask[j1] | 1 << c1)
+            m0 = a0 >> (c0 + k)
+            if k and c0 != k:
+                m0 |= a0 >> (c0 - k) if c0 > k else a0 << (k - c0)
+            m1 = a1 >> (c1 + k)
+            if k and c1 != k:
+                m1 |= a1 >> (c1 - k) if c1 > k else a1 << (k - c1)
+            cand = m0 & m1 & fit[deg[i]] & ~(1 << c0 | 1 << c1)
+            minus0 = k and c0 != k
+            minus1 = k and c1 != k
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                c = low.bit_length() - 1
+                vcol[i] = c
+                # each edge's colors s - k and s + k, as in color_edges
+                s = c + c0
+                o0 = 1 << (s + k)
+                if minus0 and s > k:
+                    o0 |= 1 << (s - k)
+                o0 &= a0
+                s = c + c1
+                o1 = 1 << (s + k)
+                if minus1 and s > k:
+                    o1 |= 1 << (s - k)
+                o1 &= a1
+                while o0:
+                    b0 = o0 & -o0
+                    o0 ^= b0
+                    emask[j0] |= b0
+                    o = o1 & ~b0
+                    while o:
+                        b1 = o & -o
+                        o ^= b1
+                        emask[j1] |= b1
+                        emask[i] = b0 | b1
+                        if place(i + 1):
+                            chosen = echoice[i]
+                            chosen[0] = b0.bit_length() - 1
+                            chosen[1] = b1.bit_length() - 1
+                            return True
+                        emask[i] = 0
+                        emask[j1] ^= b1
+                    emask[j0] ^= b0
+            vcol[i] = 0
+            return False
         open_at = free[i]
         cand = _candidate_colors(full, k, back, vcol, emask, open_at) & fit[deg[i]]
         while cand:

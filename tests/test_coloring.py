@@ -61,6 +61,9 @@ def test_total_coloring_validation():
         TotalColoring(0, {}, {})
     with pytest.raises(ValueError):
         TotalColoring(2, {1: 3}, {})  # color above palette
+    with pytest.raises(ValueError) as err:
+        TotalColoring(2, {1: 1, 2: 2}, {(1, 2): 3})
+    assert str(err.value) == "edge (1, 2) color 3 outside 0..2"
 
 
 def test_is_proper_total_catches_each_violation():

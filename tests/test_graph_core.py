@@ -291,6 +291,8 @@ def test_canonical_form_is_isomorphism_invariant():
 def test_canonical_form_separates_non_isomorphic():
     assert canonical_form(path_graph(4)) != canonical_form(star_graph(3))
     assert not are_isomorphic(cycle_graph(6), complete_bipartite_graph(3, 3))
+    # same p and q, different degrees: told apart before any canonical form
+    assert not are_isomorphic(path_graph(4), star_graph(3))
     g = canonical_relabel(cycle_graph(5))
     assert are_isomorphic(g, cycle_graph(5))
 
@@ -370,6 +372,26 @@ def test_prufer_bijection():
         assert is_tree(t)
         seen.add(tuple(t.edges()))
     assert len(seen) == m ** (m - 2)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: path_graph(0), "path needs n >= 1"),
+        (lambda: cycle_graph(2), "cycle needs n >= 3"),
+        (lambda: complete_bipartite_graph(0, 2), "both parts need at least one vertex"),
+        (lambda: star_graph(0), "star needs m >= 1"),
+        (lambda: graph_classes(0), "p >= 1 required"),
+        (lambda: prufer_to_tree([], 1), "m >= 2 required"),
+        (lambda: prufer_to_tree([1], 4), "sequence length must be m-2"),
+        (lambda: prufer_to_tree([5, 1], 4), "sequence entry 5 out of range"),
+    ],
+    ids=["path", "cycle", "bipartite", "star", "graph-classes", "prufer-m", "prufer-length", "prufer-entry"],
+)
+def test_family_constructors_reject_bad_input(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_delta_saturated():
