@@ -142,22 +142,20 @@ def _search_order(g: Graph) -> List[int]:
     return order
 
 
-def _candidate_colors(
-    full: int, k: int, back: List[int], vcol: List[int], emask: List[int], free: List[int]
-) -> int:
+def _candidate_colors(full: int, k: int, back: List[int], vcol: List[int], emask: List[int]) -> int:
     """Bitmask of the colors c in `full` (bits 1..M) left to a vertex whose
     earlier neighbors sit at positions `back`, for common weight k.
 
     c stays when, at every earlier neighbor j, it differs from f(j) and
     one of the edge colors c + f(j) - k, c + f(j) + k is in range,
-    differs from c and f(j), and is not yet used at j.  free[t] receives
-    the edge colors still open at back[t].
+    differs from c and f(j), and is not yet used at j.  This is the
+    inverse of the edge table of _tables: it shifts the colors open at j
+    back to the vertex colors that reach them.
     """
     cand = full
-    for t, j in enumerate(back):
+    for j in back:
         cj = vcol[j]
         a = full & ~(emask[j] | 1 << cj)
-        free[t] = a
         m = a >> (cj + k)
         # the minus color equals c itself when f(j) == k, and repeats the
         # plus color when k == 0
@@ -168,36 +166,42 @@ def _candidate_colors(
 
 
 @functools.lru_cache(maxsize=128)
-def _tables(M: int, k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """(reach, fit) for palette M and common weight k, built once per pair.
+def _tables(M: int, k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
+    """(reach, fit, edge) for palette M and common weight k, built once per
+    pair.
+
+    edge[s], for s in 0..2M, is the bitmask of {s - k, s + k} in 1..M:
+    the edge colors of weight k between two vertex colors that sum to s.
+    It is the one statement of that rule.  An edge between colors c and
+    c' may take the colors of edge[c + c'] other than c and c'.  Those
+    two exclusions are all the special cases there are: s - k is c' when
+    c == k and c when c' == k, and at k == 0 it is s + k, one color.
 
     reach[c], for c in 1..M, is the bitmask of the edge colors a vertex of
-    color c can carry at common weight k (reach[0] is 0): e is in reach[c]
-    when e = c' + c + k, or e = c' + c - k with k != 0 and c != k, for
-    some c' in 1..M other than c, and e is in 1..M and differs from c.
-    The minus color equals c' itself when c == k.  fit[d], for d in 0..M,
-    is the bitmask of the colors c whose reach[c] holds at least d edge
-    colors.
+    color c can carry: the union of those colors over every c' in 1..M
+    other than c (reach[0] is 0).  fit[d], for d in 0..M, is the bitmask
+    of the colors c whose reach[c] holds at least d edge colors.
 
-    The search masks each vertex's colors by fit of its degree, and the
-    pendant completion gives each pendant's edge a color of its
-    support's reach.  Both depend on (M, k) alone, so every graph and
-    every palette sweep shares them.  The cache is bounded because one
-    pair is O(M^2) bits, and an unbounded cache would keep every k of
-    every palette searched.
+    The search reads edge for every edge it colors and masks each
+    vertex's colors by fit of its degree, and the pendant completion
+    gives each pendant's edge a color of its support's reach.  All three
+    depend on (M, k) alone, so every graph and every palette sweep shares
+    them.  The cache is bounded because one pair is O(M^2) bits, and an
+    unbounded cache would keep every k of every palette searched.
     """
     full = (1 << (M + 1)) - 2
+    edge = tuple(((1 << s - k if s > k else 0) | 1 << s + k) & full for s in range(2 * M + 1))
     reach = [0] * (M + 1)
     fit = [0] * (M + 1)
     for c in range(1, M + 1):
-        others = full & ~(1 << c)
-        r = others << (c + k)
-        if k and c != k:
-            r |= others << (c - k) if c > k else others >> (k - c)
-        reach[c] = r & others
-        for d in range(reach[c].bit_count() + 1):
+        r = 0
+        for c2 in range(1, M + 1):
+            if c2 != c:
+                r |= edge[c + c2] & ~(1 << c | 1 << c2)
+        reach[c] = r
+        for d in range(r.bit_count() + 1):
             fit[d] |= 1 << c
-    return tuple(reach), tuple(fit)
+    return tuple(reach), tuple(fit), edge
 
 
 class _Plan(NamedTuple):
@@ -237,7 +241,9 @@ def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
     Tries the common weight k = 0, 1, ... in turn; within each k,
     backtracks over the vertices that are not pendants (colors
     ascending) and derives edge colors, which have at most two
-    candidates per edge once both ends are known.  A pendant is a vertex
+    candidates per edge once both ends are known: the colors of
+    edge[c + c'] in the tables of _tables(M, k), other than the end
+    colors c and c' and the colors already used.  A pendant is a vertex
     of degree 1 whose support, its one neighbor, comes earlier in the
     search order.  Each vertex starts from a bitmask of candidate
     colors: c stays only if it differs from every earlier neighbor j and
@@ -294,7 +300,8 @@ def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
     random graphs, takes one fused step instead of _candidate_colors and
     a color_edges call per edge.  It reads both neighbors' colors and
     open edge colors once, builds the same candidate mask, fit included,
-    and for each color walks its two edges' colors in one loop nest:
+    and for each color walks its two edges' colors, read from edge as
+    color_edges reads them, in one loop nest:
     each edge's colors ascending, the second edge's other than the
     first's, then the next vertex.  These are the nodes color_edges
     visits, in its order, in one frame instead of three.  The step
@@ -306,7 +313,7 @@ def find_fdt_coloring(g: Graph, palette: int) -> Optional[TotalColoring]:
     The layout of the search (_plan) depends on g alone, and the tables
     (_tables) on (M, k) alone; chi_fdt lays g out once for all its
     palettes.  The tables are cached for the 128 most recent (M, k)
-    pairs, at most about 8 MB for palettes near M = 400.
+    pairs, at most about 15 MB for palettes near M = 400.
 
     Raises ValueError when p + q exceeds MAX_SEARCH_ELEMENTS, the size
     whose search depth still fits Python's default recursion limit.
@@ -326,11 +333,10 @@ def _search(g: Graph, plan: _Plan, M: int) -> Optional[TotalColoring]:
     emask = [0] * p  # bitmask of edge colors used at each position
     # edge colors from each position to its earlier neighbors, in order
     echoice = [[0] * len(back) for back in earlier]
-    # edge colors still free at each earlier neighbor, for the vertex being placed
-    free = [[0] * len(back) for back in earlier]
     full = (1 << (M + 1)) - 2  # bits 1..M
     k = 0  # the common weight being searched
     fit: Tuple[int, ...] = ()  # fit[d]: the colors c with at least d colors in reach[c]
+    edge: Tuple[int, ...] = ()  # edge[s]: the edge colors s - k, s + k in 1..M
 
     def place(i: int) -> bool:
         if i == p:
@@ -353,24 +359,15 @@ def _search(g: Graph, plan: _Plan, M: int) -> Optional[TotalColoring]:
             if k and c1 != k:
                 m1 |= a1 >> (c1 - k) if c1 > k else a1 << (k - c1)
             cand = m0 & m1 & fit[deg[i]] & ~(1 << c0 | 1 << c1)
-            minus0 = k and c0 != k
-            minus1 = k and c1 != k
             while cand:
                 low = cand & -cand
                 cand ^= low
                 c = low.bit_length() - 1
                 vcol[i] = c
-                # each edge's colors s - k and s + k, as in color_edges
-                s = c + c0
-                o0 = 1 << (s + k)
-                if minus0 and s > k:
-                    o0 |= 1 << (s - k)
-                o0 &= a0
-                s = c + c1
-                o1 = 1 << (s + k)
-                if minus1 and s > k:
-                    o1 |= 1 << (s - k)
-                o1 &= a1
+                # each edge's colors of edge, other than c, f(j) and
+                # the colors used at j
+                o0 = edge[c + c0] & a0 & ~low
+                o1 = edge[c + c1] & a1 & ~low
                 while o0:
                     b0 = o0 & -o0
                     o0 ^= b0
@@ -391,32 +388,24 @@ def _search(g: Graph, plan: _Plan, M: int) -> Optional[TotalColoring]:
                     emask[j0] ^= b0
             vcol[i] = 0
             return False
-        open_at = free[i]
-        cand = _candidate_colors(full, k, back, vcol, emask, open_at) & fit[deg[i]]
+        cand = _candidate_colors(full, k, back, vcol, emask) & fit[deg[i]]
         while cand:
             low = cand & -cand
             cand ^= low
             c = low.bit_length() - 1
             vcol[i] = c
-            if color_edges(i, c, back, open_at, echoice[i], 0, 0) if back else place(i + 1):
+            if color_edges(i, c, back, echoice[i], 0, 0) if back else place(i + 1):
                 return True
         vcol[i] = 0
         return False
 
-    def color_edges(
-        i: int, c: int, back: List[int], open_at: List[int], chosen: List[int], idx: int, local: int
-    ) -> bool:
+    def color_edges(i: int, c: int, back: List[int], chosen: List[int], idx: int, local: int) -> bool:
         """Color the edges from position i to back[idx:], then place i + 1.
-        back, open_at and chosen are earlier[i], free[i] and echoice[i]."""
+        back and chosen are earlier[i] and echoice[i]; local holds the
+        edge colors already given to i's edges to back[:idx]."""
         j = back[idx]
         cj = vcol[j]
-        s = c + cj
-        # the edge colors s - k and s + k, ascending; s - k is left out
-        # where it is below 1, repeats s + k (k == 0) or equals c (cj == k)
-        opts = 1 << (s + k)
-        if k and cj != k and s > k:
-            opts |= 1 << (s - k)
-        opts &= open_at[idx] & ~local
+        opts = edge[c + cj] & ~(emask[j] | local | 1 << c | 1 << cj)
         last = idx + 1 == len(back)
         while opts:
             bit = opts & -opts
@@ -428,7 +417,7 @@ def _search(g: Graph, plan: _Plan, M: int) -> Optional[TotalColoring]:
                 if place(i + 1):
                     return True
                 emask[i] = 0
-            elif color_edges(i, c, back, open_at, chosen, idx + 1, local | bit):
+            elif color_edges(i, c, back, chosen, idx + 1, local | bit):
                 return True
             emask[j] ^= bit
         return False
@@ -436,7 +425,7 @@ def _search(g: Graph, plan: _Plan, M: int) -> Optional[TotalColoring]:
     # a search that fails undoes every vertex and edge color it set, so
     # each k starts from all-zero vcol and emask
     for k in range(0, 2 * M - 1):
-        reach, fit = _tables(M, k)
+        reach, fit, edge = _tables(M, k)
         if place(0):
             ec: Dict[EdgeKey, int] = {}
             for i in range(p):
@@ -477,9 +466,9 @@ def chi_fdt(g: Graph, max_palette: int) -> ChiFdtResult:
 
     g is laid out for the search once, and every palette reuses that
     layout.  Each (M, k) table is built once and kept in a cache of the
-    128 most recent pairs (about 64 KB a pair at M = 400, so at most
-    about 8 MB).  The answers are those of find_fdt_coloring(g, M) for
-    each M in turn.  Graphs above find_fdt_coloring's size limit raise
+    128 most recent pairs (at most about 114 KB a pair at M = 400, so
+    at most about 15 MB).  The answers are those of
+    find_fdt_coloring(g, M) for each M in turn.  Graphs above find_fdt_coloring's size limit raise
     ValueError, unless max_palette <= Delta leaves no palette to search."""
     lo = g.max_degree() + 1
     if max_palette >= lo:

@@ -314,9 +314,8 @@ def find_hamilton_cycle(g: Graph) -> Optional[List[int]]:
                 if free < 2:
                     return False
                 start = v
-        if start is None:
-            return True
-        # BFS over unvisited vertices only
+        # BFS over unvisited vertices only; tries runs only while the path
+        # is short of p, so some vertex in 2..p is unvisited and start is set
         seen = {start}
         queue = [start]
         while queue:

@@ -141,7 +141,7 @@ class Surgery:
         u, v = e1.support, e2.support
         if self.theta is not None and not _compatible(self.theta.vertex_colors, self.ec, e1, e2):
             raise ValueError("leaf-edges are not color-compatible")
-        if e1 == e2 or e1.leaf == e2.leaf:
+        if e1.leaf == e2.leaf:
             raise ValueError("need two distinct leaf-edges")
         if u == v:
             raise ValueError("leaf-edges share the support %d" % self._label(u))
@@ -150,8 +150,6 @@ class Surgery:
                 "supports %d,%d already adjacent; merge would double the edge"
                 % (self._label(u), self._label(v))
             )
-        if u in (e1.leaf, e2.leaf) or v in (e1.leaf, e2.leaf):
-            raise ValueError("support/leaf roles overlap")
         for s, leaf in (e1, e2):
             self.adj[s].discard(leaf)
             self.adj[leaf].clear()

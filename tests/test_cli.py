@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import iceflower
-from iceflower.cli import run
+from iceflower.cli import main, run
 from iceflower.coloring import TotalColoring, is_proper_total
 from iceflower.families import complete_graph, cycle_graph, path_graph
 from iceflower.formats import (
@@ -179,6 +179,21 @@ def test_seq_check():
     assert degree_sequence(g) == (3, 3, 3, 3)
     bad = run(["seq", "check", "3,1"])
     assert bad.exit_code == 1 and "not graphical" in bad.note
+
+
+def test_main_writes_payload_and_note_and_exits_with_the_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["iceflower", "seq", "check", "3,3"])
+    with pytest.raises(SystemExit) as exit_:
+        main()
+    assert exit_.value.code == 1
+    assert capsys.readouterr() == ("", "not graphical\n")
+
+    monkeypatch.setattr(sys, "argv", ["iceflower", "seq", "check", "2,2,2"])
+    with pytest.raises(SystemExit) as exit_:
+        main()
+    assert exit_.value.code == 0
+    out, err = capsys.readouterr()
+    assert out == write_graph(Graph(3, [(1, 2), (1, 3), (2, 3)])) and err == ""
 
 
 def test_hamiltonian_build(tmp_path):

@@ -483,8 +483,7 @@ def test_candidate_mask_is_exactly_the_colors_passing_the_edge_checks():
         vcol = [rng.randrange(1, M + 1) for _ in range(n)]
         emask = [sum(1 << e for e in range(1, M + 1) if rng.random() < 0.3) for _ in range(n)]
         full = (1 << (M + 1)) - 2
-        free = [0] * n
-        cand = _candidate_colors(full, k, list(range(n)), vcol, emask, free)
+        cand = _candidate_colors(full, k, list(range(n)), vcol, emask)
 
         def edge_ok(e, c, j):
             return 1 <= e <= M and e != c and e != vcol[j] and not emask[j] >> e & 1
@@ -499,8 +498,6 @@ def test_candidate_mask_is_exactly_the_colors_passing_the_edge_checks():
             )
         }
         assert {c for c in range(M + 2) if cand >> c & 1} == want, (M, k, vcol, emask)
-        for j in range(n):
-            assert free[j] == sum(1 << e for e in range(1, M + 1) if e != vcol[j] and not emask[j] >> e & 1)
 
 
 def test_reach_is_every_edge_color_a_vertex_color_can_carry():
@@ -626,14 +623,17 @@ def test_cached_tables_are_reach_and_every_fit_count():
     assert _tables.cache_info().maxsize is not None
     for M in range(1, 13):
         for k in range(0, 2 * M - 1):
-            reach, fit = _tables(M, k)
-            assert type(reach) is tuple and type(fit) is tuple
+            reach, fit, edge = _tables(M, k)
+            assert type(reach) is tuple and type(fit) is tuple and type(edge) is tuple
+            assert list(edge) == [
+                sum(1 << e for e in {s - k, s + k} if 1 <= e <= M) for s in range(2 * M + 1)
+            ], (M, k)
             sizes = [len([e for e in range(M + 2) if reach[c] >> e & 1]) for c in range(M + 1)]
             want = [
                 sum(1 << c for c in range(1, M + 1) if sizes[c] >= d) for d in range(M + 1)
             ]
             assert list(fit) == want, (M, k)
-            assert _tables(M, k) == (reach, fit)
+            assert _tables(M, k) == (reach, fit, edge)
 
 
 def test_table_cache_stays_within_its_bound_on_a_wide_palette_sweep():

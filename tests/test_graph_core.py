@@ -108,6 +108,7 @@ def test_degree_sequence_and_graphical():
     assert not is_graphical([5, 1, 1, 1])  # fails the bound
     assert is_graphical([0])
     assert is_graphical([])
+    assert realize_sequence([]) is None  # graphical, but no graph has 0 vertices
 
 
 def test_graphical_matches_realization_presence():
@@ -146,6 +147,9 @@ def test_hamilton_cycle_small():
     assert find_hamilton_cycle(path_graph(4)) is None
     assert find_hamilton_cycle(complete_bipartite_graph(2, 3)) is None
     assert find_hamilton_cycle(complete_bipartite_graph(3, 3)) is not None
+    assert not is_hamilton_cycle(cycle_graph(4), [1, 2, 3])  # misses vertex 4
+    assert not is_hamilton_cycle(cycle_graph(4), [1, 2, 2, 4])  # repeats vertex 2
+    assert hamilton_cycle_bruteforce(path_graph(2)) is None  # fewer than 3 vertices
 
 
 def test_hamilton_against_bruteforce():
@@ -307,6 +311,7 @@ def test_catalog_counts():
 def test_free_tree_counts():
     # free trees on p nodes: 1, 1, 1, 2, 3, 6, 11, 23
     assert [len(free_trees(p)) for p in range(1, 9)] == [1, 1, 1, 2, 3, 6, 11, 23]
+    assert tree_encoding(Graph(1)) == ("t",)
     for t in free_trees(7):
         assert is_tree(t)
 

@@ -28,7 +28,15 @@ from iceflower.families import (
     star_graph,
 )
 from iceflower.coloring import TotalColoring, is_proper_total
-from iceflower.leafops import LeafEdge, Surgery, colored_leaf_coincide, disjoint_union, leaf_coincide, leaf_split
+from iceflower.leafops import (
+    LeafEdge,
+    Surgery,
+    colored_leaf_coincide,
+    colored_leaf_split,
+    disjoint_union,
+    leaf_coincide,
+    leaf_split,
+)
 from iceflower.lattice import (
     ClosureResult,
     CoincideScript,
@@ -56,8 +64,49 @@ from iceflower.system import (
     make_star,
     saturate,
 )
+from iceflower.topcode import cuttings, vector_lattice_member
 from tests.test_formats import _graphs
 from tests.conftest import random_connected_graph
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CoincideScript(IceFlowerSystem([make_star(2)]), (-1,), ()), "coefficients must be non-negative"),
+        (
+            lambda: recompose_colored(decompose_to_stars(path_graph(3)), build_uniform_fdt_system(3, 0)),
+            "system stars do not match the script base",
+        ),
+        (lambda: spanning_lattice_count(1), "m >= 2 required"),
+        (lambda: spanning_lattice_enumerate(1), "m >= 2 required"),
+        (lambda: saturate(build_uniform_fdt_system(3, 0), [1, -1, 1]), "multiplicities must be non-negative"),
+        (lambda: next(cuttings("123", 0)), "q must be positive"),
+        (lambda: vector_lattice_member((1,), [(-1,)]), "vector entries must be non-negative"),
+        (
+            lambda: colored_leaf_split(
+                path_graph(3), TotalColoring(3, {1: 1, 2: 1, 3: 2}, {(1, 2): 2, (2, 3): 3}), 1, 2
+            ),
+            "coloring must be proper total before a colored split",
+        ),
+        (
+            # the leaf-edges are color-compatible, but 1 and 3 share color 1
+            # and stay adjacent after the merge
+            lambda: colored_leaf_coincide(
+                Graph(6, [(1, 2), (1, 3), (4, 5), (4, 6)]),
+                TotalColoring(
+                    4, {1: 1, 2: 2, 3: 1, 4: 2, 5: 1, 6: 3}, {(1, 2): 3, (1, 3): 4, (4, 5): 3, (4, 6): 4}
+                ),
+                LeafEdge(1, 2),
+                LeafEdge(4, 5),
+            ),
+            "merged coloring is not proper total; merge rejected",
+        ),
+    ],
+)
+def test_input_errors_raise_value_error_with_their_message(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_script_validation():

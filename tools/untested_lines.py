@@ -5,7 +5,9 @@ sys.settrace and prints every line of the package that compiles to code
 but never ran, as PATH:LINE: SOURCE, then a count per module.  No
 coverage package is needed: the line table of each compiled code object
 gives the executable lines, and the trace's line events give the ones
-that ran.  Code that tests run in a child process is not seen.
+that ran.  Code that tests run in a child process is not seen.  Each
+module's source and executable lines are read before the suite starts,
+so a file edited during the run does not shift the report.
 
     python3 tools/untested_lines.py [PYTEST_ARGS...]
 
@@ -31,10 +33,10 @@ def _code_objects(code: CodeType) -> Iterator[CodeType]:
             yield from _code_objects(const)
 
 
-def executable_lines(path: str) -> Set[int]:
-    """The lines of one source file that hold at least one instruction."""
-    with open(path, encoding="utf-8") as fh:
-        code = compile(fh.read(), path, "exec")
+def executable_lines(path: str, text: str) -> Set[int]:
+    """The lines of the source text of one file that hold at least one
+    instruction."""
+    code = compile(text, path, "exec")
     return {
         line
         for co in _code_objects(code)
@@ -49,6 +51,11 @@ def main(argv) -> int:
     modules = sorted(
         os.path.join(PACKAGE, name) for name in os.listdir(PACKAGE) if name.endswith(".py")
     )
+    sources: Dict[str, str] = {}
+    for path in modules:
+        with open(path, encoding="utf-8") as fh:
+            sources[path] = fh.read()
+    lines_of = {path: executable_lines(path, text) for path, text in sources.items()}
     ran: Dict[str, Set[int]] = {path: set() for path in modules}
     watched: Dict[str, Optional[Set[int]]] = {}  # co_filename -> its set in ran, or None
 
@@ -79,9 +86,8 @@ def main(argv) -> int:
     total = 0
     summary = []
     for path in modules:
-        with open(path, encoding="utf-8") as fh:
-            source = fh.read().splitlines()
-        missed = sorted(executable_lines(path) - ran[path])
+        source = sources[path].splitlines()
+        missed = sorted(lines_of[path] - ran[path])
         rel = os.path.relpath(path, ROOT)
         for line in missed:
             print("%s:%d: %s" % (rel, line, source[line - 1].strip()))
