@@ -194,10 +194,12 @@ def _tables(M: int, k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int
     reach = [0] * (M + 1)
     fit = [0] * (M + 1)
     for c in range(1, M + 1):
-        r = 0
-        for c2 in range(1, M + 1):
-            if c2 != c:
-                r |= edge[c + c2] & ~(1 << c | 1 << c2)
+        # the pair c' < c gave reach[c] its colors when c' was visited
+        r = reach[c]
+        for c2 in range(c + 1, M + 1):
+            colors = edge[c + c2] & ~(1 << c | 1 << c2)
+            r |= colors
+            reach[c2] |= colors
         reach[c] = r
         for d in range(r.bit_count() + 1):
             fit[d] |= 1 << c

@@ -9,7 +9,7 @@ too, since they ride on the same matrix machinery.
 """
 from __future__ import annotations
 
-from typing import Collection, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .graph import Graph, _FrozenRecord, _norm_edge, is_connected, is_tree
 from .coloring import TotalColoring
@@ -33,9 +33,10 @@ class TopcodeMatrix(_FrozenRecord):
 
     @classmethod
     def _trusted(cls, X: Tuple[int, ...], E: Tuple[int, ...], Y: Tuple[int, ...]) -> "TopcodeMatrix":
-        """A matrix built without __init__'s checks, for solve_dnsp only: its
-        rows are tuples of the same length q >= 1, read from digits, so no
-        entry is negative."""
+        """A matrix built without __init__'s checks, for a caller whose rows
+        are tuples of the same length q >= 1 with no entry negative by
+        construction: solve_dnsp reads them from digits, and _canonical
+        sorts the columns of a valid matrix or of a coloring's colors."""
         m = object.__new__(cls)
         object.__setattr__(m, "X", X)
         object.__setattr__(m, "E", E)
@@ -52,16 +53,15 @@ class TopcodeMatrix(_FrozenRecord):
     def canonical(self) -> "TopcodeMatrix":
         """Endpoints ordered within each column, columns sorted by
         (edge value, endpoints) — the form topcode_from_graph emits."""
-        cols = []
-        for x, e, y in self.columns():
-            a, b = (x, y) if x <= y else (y, x)
-            cols.append((e, a, b))
-        cols.sort()
-        return TopcodeMatrix(
-            tuple(c[1] for c in cols),
-            tuple(c[0] for c in cols),
-            tuple(c[2] for c in cols),
-        )
+        return _canonical(zip(self.X, self.E, self.Y))
+
+
+def _canonical(cols: Iterable[Tuple[int, int, int]]) -> TopcodeMatrix:
+    """The canonical matrix of the columns (x, e, y), at least one.  Its
+    entries are a valid matrix's or a coloring's colors, none negative,
+    so it is built without the checks."""
+    E, X, Y = zip(*sorted((e, x, y) if x <= y else (e, y, x) for x, e, y in cols))
+    return TopcodeMatrix._trusted(X, E, Y)
 
 
 def topcode_from_graph(g: Graph, f: TotalColoring) -> TopcodeMatrix:
@@ -69,8 +69,7 @@ def topcode_from_graph(g: Graph, f: TotalColoring) -> TopcodeMatrix:
     first, columns sorted by (edge color, endpoint colors)."""
     if g.q == 0:
         raise ValueError("a matrix needs at least one edge")
-    cols = [(f.vertex(u), f.edge(u, v), f.vertex(v)) for u, v in g.edges()]
-    return TopcodeMatrix(*zip(*cols)).canonical()
+    return _canonical((f.vertex(u), f.edge(u, v), f.vertex(v)) for u, v in g.edges())
 
 
 def string_from_topcode(t: TopcodeMatrix) -> str:
@@ -114,11 +113,10 @@ def _digit_reads(d: str) -> _Reads:
     The list runs on to 2 len(d) with no readings, since a Y-row table
     visits positions up to len(d) + q - 2 (see _row_steps)."""
     n = len(d)
+    digits = [int(c) for c in d]
     reads: _Reads = [
-        ((p + 2, int(d[p : p + 2])), (p + 1, int(d[p])))
-        if p + 1 < n and d[p] != "0"
-        else ((p + 1, int(d[p])),)
-        for p in range(n)
+        ((p + 2, 10 * a + digits[p + 1]), (p + 1, a)) if a and p + 1 < n else ((p + 1, a),)
+        for p, a in enumerate(digits)
     ]
     return reads + [()] * n
 
@@ -196,13 +194,14 @@ def _assemble(
     return g, edges, vc, max(1, *vc.values())
 
 
-def _color(frame: _Frame, es: Sequence[int]) -> TotalColoring:
+def _color(frame: _Frame, es: Sequence[int], top: int) -> TotalColoring:
     """The total coloring of an assembled graph whose column i's edge
-    has color es[i]; the palette bound is the largest label, at least 1.
+    has color es[i], where top = max(es), read once for every frame an E
+    row colors; the palette bound is the largest label, at least 1.
     Its invariants hold by construction (keys from _norm_edge, labels of
     a TopcodeMatrix or digits, so none negative), so it skips the checks."""
     _, edges, vc, floor = frame
-    return TotalColoring._trusted(max(floor, *es), dict(vc), dict(zip(edges, es)))
+    return TotalColoring._trusted(floor if floor > top else top, dict(vc), dict(zip(edges, es)))
 
 
 def _distinct_labels(X: Sequence[int], Y: Sequence[int]) -> Optional[_Frame]:
@@ -231,7 +230,7 @@ def realize_topcode(
     """
     if not identify:
         frame = _distinct_labels(t.X, t.Y)
-        return None if frame is None else (frame[0], _color(frame, t.E))
+        return None if frame is None else (frame[0], _color(frame, t.E, max(t.E)))
 
     if t.q > 6:
         raise ValueError("identification search is limited to q <= 6")
@@ -261,7 +260,7 @@ def realize_topcode(
         ends = [(slot_vertex[2 * i], slot_vertex[2 * i + 1]) for i in range(t.q)]
         frame = _assemble(xy, ends, max(slot_vertex.values()))
         if frame is not None:
-            return frame[0], _color(frame, t.E)
+            return frame[0], _color(frame, t.E, max(t.E))
     return None
 
 
@@ -309,19 +308,31 @@ def _row_steps(
     return steps
 
 
-def _tree_rows(
-    x_steps: _Steps, y_steps: _Steps, y_start: int
-) -> Dict[int, List[Tuple[Tuple[int, ...], Tuple[int, ...]]]]:
-    """Every (X, Y) read along the two rows' steps whose columns
-    (x_i, y_i) are the edges of a tree on q+1 labels, listed under the
-    position o1 where its X row ends; x_steps may leave o1 open.
+_Pairs = List[Tuple[Tuple[int, ...], Tuple[int, ...]]]
 
-    One depth-first search places x_i and y_i together, and an (X, Y)
-    prefix is searched once for all the X-row ends it can still reach.  The
-    labels seen are an int bitmask and connectivity is a union-find over
-    the values 0-99, undone on backtrack (Tarjan 1975).  A branch dies
-    when its columns cannot reach q+1 labels, and when a column's two
-    ends already share a root: a loop, a repeated pair or a cycle.
+
+def _tree_rows(reads: _Reads, n: int, q: int) -> Iterator[Tuple[int, int, _Pairs]]:
+    """(o1, o2, pairs) for every X-row end o1 and Y-row start o2 of a
+    string of n digits, where reads = _digit_reads(d), cut into 3q
+    segments: pairs lists every (X, Y) read from d[:o1] and d[o2:] whose
+    columns (x_i, y_i) are the edges of a tree on q+1 labels.  Each o2
+    comes once, its o1 in the order its search first reached them, and
+    only the o1 with a pair.
+
+    There is one search for each o2.  It places x_i and y_i together and
+    lets the X row end at any o1 in lo..hi, the range o2 leaves for it
+    (o1 in q..2q and o2 - o1 in q..2q), so an (X, Y) prefix is searched
+    once for all the X-row ends it can still reach.  The Y row's step
+    table is built once for all o2 (see _row_steps); each o2 builds its
+    own X table, since which readings fit the end range lo..hi, and their
+    forced masks, depend on o2.  The union-find, the row buffers and the
+    search itself are made once per call and serve every o2: the search
+    undoes each union on backtrack, so it leaves them as it found them.
+
+    The labels seen are an int bitmask and connectivity is a union-find
+    over the values 0-99 (Tarjan 1975).  A branch dies when its columns
+    cannot reach q+1 labels, and when a column's two ends already share a
+    root: a loop, a repeated pair or a cycle.
 
     It also dies when the labels seen, together with the forced values of
     the x and y readings (see _row_steps), are more than q+1.  That cut
@@ -332,11 +343,12 @@ def _tree_rows(
     so the cut also covers a label count above q+1, and it mostly fires
     a level or two before that count would overflow.
     """
-    q = len(x_steps)
     most = q + 1
+    first, last = max(2 * q, n - 2 * q), min(4 * q, n - q)
+    y_steps = _row_steps(reads, first, q, n, n, last)
     parent = list(range(100))
     xs, ys = [0] * q, [0] * q
-    found: Dict[int, List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = {}
+    found: Dict[int, _Pairs] = {}
 
     def place(i: int, px: int, py: int, seen: int) -> None:
         if i == q:
@@ -369,8 +381,19 @@ def _tree_rows(
                 place(i + 1, ex, ey, grown)
                 parent[rx] = rx
 
-    place(0, 0, y_start, 0)
-    return found
+    for o2 in range(first, last + 1):
+        x_steps = _row_steps(reads, 0, q, max(q, o2 - 2 * q), min(2 * q, o2 - q))
+        place(0, 0, o2, 0)
+        for o1, pairs in found.items():
+            yield o1, o2, pairs
+        found.clear()
+
+
+def _widths(row: Tuple[int, ...]) -> Tuple[bool, ...]:
+    """The row's segment widths as its place in the cutting-stream order:
+    False for two digits, True for one (a value below 10 was read from one
+    digit, any other from two, since no segment has a leading zero)."""
+    return tuple([v < 10 for v in row])
 
 
 def solve_dnsp(
@@ -381,27 +404,25 @@ def solve_dnsp(
     Only the q with 3q <= len(d) <= 6q can fit, and only those are
     looked up in q_values, so it may be a range of any size.
 
-    There is one search for each position o2 where the Y row starts.  It
-    places the columns (x_i, y_i) of X and Y together, lets the X row end
-    at any o1 in lo..hi, the range o2 leaves for it (o1 in q..2q and
-    o2 - o1 in q..2q), and prunes on loops, repeated pairs, cycles, label
-    counts and the values each row must still read (see _tree_rows).  The
-    digit values are read once per call (_digit_reads), and the Y row's
-    step table is built from them once per q for all o2.  Each o2 builds
-    its own X table from the same values: only which readings fit the X
-    row's end range lo..hi, and their forced masks, depend on o2.
+    The digit values are read once per call (_digit_reads), and one pair
+    search per q (_tree_rows) finds every (X, Y) whose columns form a
+    tree, under each split (o1, o2) of d into X | E | Y.  It prunes on
+    loops, repeated pairs, cycles, label counts and the values each row
+    must still read.
 
     Each passing (X, Y) is realized once (_assemble) and its Graph is
     shared by every solution it is part of.  The middle row E = d[o1:o2],
-    which the tree test never constrains, is read out once for each o1
-    with a passing (X, Y), and each reading only adds its edge colors.
-    The solver builds these outputs itself, so it makes them through the
-    _trusted constructors, which skip the checks of values it already
-    holds to.  Results come out per q in cutting-stream order: segment
-    widths of X, then E, then Y, width 2 before width 1.  No two cuttings
-    share a width pattern, so that sort key alone fixes the order,
-    whatever order the searches found them in.  There is no dedup: a
-    cutting is bit-exact, so different cuttings give different matrices.
+    which the tree test never constrains, is read out once for each
+    split with a passing (X, Y), and each reading only adds its edge
+    colors.  The solver builds these outputs itself, so it makes them
+    through the _trusted constructors, which skip the checks of values it
+    already holds to.  Results come out per q in cutting-stream order:
+    segment widths of X, then E, then Y, width 2 before width 1.  No two
+    cuttings share a width pattern, so that sort key alone fixes the
+    order, whatever order the searches found them in.  Each pair's X and
+    Y widths and each E reading's widths are made once, and a solution's
+    key is their concatenation.  There is no dedup: a cutting is
+    bit-exact, so different cuttings give different matrices.
 
     Every value is at most 99, so a matrix has at most 100 distinct
     labels, while a tree with q edges needs q+1 of them: every q >= 100
@@ -428,30 +449,30 @@ def solve_dnsp(
     for q in viable:
         if q >= 100:
             continue
-        first, last = max(2 * q, n - 2 * q), min(4 * q, n - q)
-        y_steps = _row_steps(reads, first, q, n, n, last)
-        found: List[Tuple[TopcodeMatrix, Graph, TotalColoring]] = []
-        for o2 in range(first, last + 1):
-            lo, hi = max(q, o2 - 2 * q), min(2 * q, o2 - q)
-            for o1, pairs in _tree_rows(_row_steps(reads, 0, q, lo, hi), y_steps, o2).items():
-                frames = []
-                for xs, ys in pairs:
-                    frame = _distinct_labels(xs, ys)
-                    if frame is None:
-                        raise RuntimeError(
-                            "rows X=%s Y=%s passed the tree search but do not realize as a tree"
-                            % (xs, ys)
-                        )
-                    frames.append((xs, ys, frame))
-                for es in _readings(reads, o1, o2, q):
-                    found.extend(
-                        (TopcodeMatrix._trusted(xs, es, ys), frame[0], _color(frame, es))
-                        for xs, ys, frame in frames
+        found: List[Tuple[Tuple[bool, ...], TopcodeMatrix, Graph, TotalColoring]] = []
+        for o1, o2, pairs in _tree_rows(reads, n, q):
+            frames = []
+            for xs, ys in pairs:
+                frame = _distinct_labels(xs, ys)
+                if frame is None:
+                    raise RuntimeError(
+                        "rows X=%s Y=%s passed the tree search but do not realize as a tree"
+                        % (xs, ys)
                     )
-        # a value below 10 is one digit wide, any other two (no leading
-        # zero), so this key is the wider-first order of cuttings(d, q)
-        found.sort(key=lambda s: [v < 10 for v in s[0].X + s[0].E + s[0].Y])
-        out.extend(found)
+                frames.append((xs, ys, frame, _widths(xs), _widths(ys)))
+            for es in _readings(reads, o1, o2, q):
+                top, w_es = max(es), _widths(es)
+                found.extend(
+                    (
+                        w_xs + w_es + w_ys,
+                        TopcodeMatrix._trusted(xs, es, ys),
+                        frame[0],
+                        _color(frame, es, top),
+                    )
+                    for xs, ys, frame, w_xs, w_ys in frames
+                )
+        found.sort(key=lambda s: s[0])
+        out.extend(s[1:] for s in found)
     return out
 
 

@@ -1,9 +1,23 @@
+import cProfile
+import pstats
 import random
 
 import pytest
 
 from iceflower.graph import Graph, is_connected
 from iceflower.coloring import TotalColoring
+
+
+def place_calls(fn, module):
+    """Calls of the search function `place` in the module file `module`
+    (e.g. "coloring.py") while fn runs, counted by cProfile."""
+    prof = cProfile.Profile()
+    prof.runcall(fn)
+    return sum(
+        stat[1]
+        for (path, _, name), stat in pstats.Stats(prof).stats.items()
+        if name == "place" and path.endswith(module)
+    )
 
 
 def random_connected_graph(rng, p, extra_edges=0):

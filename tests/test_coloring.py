@@ -1,6 +1,4 @@
-import cProfile
 import itertools
-import pstats
 import random
 
 import pytest
@@ -29,7 +27,7 @@ from iceflower.coloring import (
     is_proper_total,
 )
 from iceflower.leafops import disjoint_union
-from tests.conftest import greedy_proper_total, random_connected_graph
+from tests.conftest import greedy_proper_total, place_calls, random_connected_graph
 
 
 def brute_force_min_palette(g):
@@ -431,22 +429,12 @@ def test_disconnected_graphs_take_the_reference_witness_at_every_palette():
             assert _coloring_fields(find_fdt_coloring(g, M)) == _coloring_fields(want), (g.edges(), M)
 
 
-def _place_calls(fn):
-    prof = cProfile.Profile()
-    prof.runcall(fn)
-    return sum(
-        stat[1]
-        for (path, _, name), stat in pstats.Stats(prof).stats.items()
-        if name == "place" and path.endswith("coloring.py")
-    )
-
-
 def test_chi_fdt_on_a_star_beside_k6_makes_2137_place_calls():
     # the star is searched first; re-trying its pendants' colors before
     # each proof that K_6 has no coloring took 95,487 calls
     g = disjoint_union(star_graph(6), complete_graph(6))[0]
     res = []
-    assert _place_calls(lambda: res.append(chi_fdt(g, 10))) == 2137
+    assert place_calls(lambda: res.append(chi_fdt(g, 10)), "coloring.py") == 2137
     assert res[0].m == 9
     assert res[0].coloring == find_fdt_coloring(g, 9)
 
@@ -564,7 +552,8 @@ def test_chi_fdt_on_the_palette_shaped_graphs_makes_30420_place_calls():
     # a check the fit bound implies
     gs = _palette_shaped_graphs()
     res = []
-    assert _place_calls(lambda: res.extend(chi_fdt(g, 3 * g.max_degree() + 2) for g in gs)) == 30420
+    calls = place_calls(lambda: res.extend(chi_fdt(g, 3 * g.max_degree() + 2) for g in gs), "coloring.py")
+    assert calls == 30420
     assert all(r.m is not None for r in res)
 
 
@@ -619,21 +608,38 @@ def test_chi_fdt_at_or_below_delta_searches_nothing_even_above_the_size_limit():
     assert (res.m, res.coloring, res.searched_up_to) == (None, None, 900)
 
 
+def _reference_reach(M, k):
+    """reach[c] from its definition: every edge color of weight k between
+    color c and some other color c' in 1..M, other than c and c'."""
+    return [
+        sum(
+            1 << e
+            for e in range(1, M + 1)
+            if any(e in (c + c2 - k, c + c2 + k) and e not in (c, c2) for c2 in range(1, M + 1) if c2 != c)
+        )
+        if c
+        else 0
+        for c in range(M + 1)
+    ]
+
+
 def test_cached_tables_are_reach_and_every_fit_count():
     assert _tables.cache_info().maxsize is not None
-    for M in range(1, 13):
-        for k in range(0, 2 * M - 1):
-            reach, fit, edge = _tables(M, k)
-            assert type(reach) is tuple and type(fit) is tuple and type(edge) is tuple
-            assert list(edge) == [
-                sum(1 << e for e in {s - k, s + k} if 1 <= e <= M) for s in range(2 * M + 1)
-            ], (M, k)
-            sizes = [len([e for e in range(M + 2) if reach[c] >> e & 1]) for c in range(M + 1)]
-            want = [
-                sum(1 << c for c in range(1, M + 1) if sizes[c] >= d) for d in range(M + 1)
-            ]
-            assert list(fit) == want, (M, k)
-            assert _tables(M, k) == (reach, fit, edge)
+    pairs = [(M, k) for M in range(1, 13) for k in range(0, 2 * M - 1)]
+    pairs += [(M, k) for M in (31, 32, 39) for k in (0, 1, M // 2, M, M + 1, 2 * M - 2)]
+    for M, k in pairs:
+        reach, fit, edge = _tables(M, k)
+        assert type(reach) is tuple and type(fit) is tuple and type(edge) is tuple
+        assert list(edge) == [
+            sum(1 << e for e in {s - k, s + k} if 1 <= e <= M) for s in range(2 * M + 1)
+        ], (M, k)
+        assert list(reach) == _reference_reach(M, k), (M, k)
+        sizes = [len([e for e in range(M + 2) if reach[c] >> e & 1]) for c in range(M + 1)]
+        want = [
+            sum(1 << c for c in range(1, M + 1) if sizes[c] >= d) for d in range(M + 1)
+        ]
+        assert list(fit) == want, (M, k)
+        assert _tables(M, k) == (reach, fit, edge)
 
 
 def test_table_cache_stays_within_its_bound_on_a_wide_palette_sweep():

@@ -1,6 +1,4 @@
-import cProfile
 import os
-import pstats
 import random
 import subprocess
 import sys
@@ -47,7 +45,7 @@ from iceflower.families import (
     star_graph,
     tree_encoding,
 )
-from tests.conftest import count_free_trees, random_connected_graph
+from tests.conftest import count_free_trees, place_calls, random_connected_graph
 
 
 def test_graph_validation():
@@ -525,16 +523,10 @@ def test_graph_classes_1_to_7_makes_35332_place_calls():
     # the canonical search's work from a cold cache; it made 87,022 calls
     # when it still walked every layout that ties with its best one
     graph_classes.cache_clear()
-    prof = cProfile.Profile()
     try:
-        prof.runcall(graph_classes, 7)
+        calls = place_calls(lambda: graph_classes(7), "graph.py")
     finally:
         graph_classes.cache_clear()
-    calls = sum(
-        stat[1]
-        for (path, _, name), stat in pstats.Stats(prof).stats.items()
-        if name == "place" and path.endswith("graph.py")
-    )
     assert calls == 35332
 
 

@@ -15,7 +15,7 @@ from iceflower.families import (
     path_graph,
     star_graph,
 )
-from iceflower import topcode
+from iceflower import cli, topcode
 from iceflower.coloring import TotalColoring
 from iceflower.topcode import (
     TopcodeMatrix,
@@ -34,7 +34,7 @@ from iceflower.topcode import (
     topological_vector,
     vector_lattice_member,
 )
-from tests.conftest import random_distinct_label_tree
+from tests.conftest import place_calls, random_distinct_label_tree
 from tests.test_acceptance import DIGIT_STRING_60
 from tests.test_star_lattice import _outcome
 
@@ -195,7 +195,7 @@ def _reference_identify(t):
         ends = [(slot_vertex[2 * i], slot_vertex[2 * i + 1]) for i in range(t.q)]
         frame = _assemble(xy, ends, max(slot_vertex.values()))
         if frame is not None:
-            return frame[0], _color(frame, t.E)
+            return frame[0], _color(frame, t.E, max(t.E))
     return None
 
 
@@ -484,20 +484,20 @@ def test_solve_dnsp_equals_the_former_per_split_search():
 
 
 def test_one_search_per_y_start_is_the_union_of_the_per_split_searches():
+    # one generator serves every o2 of a string, so any state one Y-row
+    # start leaves behind (a union not undone, a pair not cleared) shows
+    # up under a later o2
     checked = 0
     for d, qs in _seeded_digit_strings(41, 120):
         n = len(d)
         reads = _digit_reads(d)
         for q in qs:
+            merged = {}
+            for o1, o2, pairs in _tree_rows(reads, n, q):
+                assert pairs and o2 >= max(merged, default=o2)
+                merged.setdefault(o2, []).extend((o1,) + pair for pair in pairs)
             for o2 in range(max(2 * q, n - 2 * q), min(4 * q, n - q) + 1):
                 lo, hi = max(q, o2 - 2 * q), min(2 * q, o2 - q)
-                merged = [
-                    (o1,) + pair
-                    for o1, pairs in _tree_rows(
-                        _row_steps(reads, 0, q, lo, hi), _row_steps(reads, o2, q, n, n), o2
-                    ).items()
-                    for pair in pairs
-                ]
                 per_split = [
                     (o1,) + pair
                     for o1 in range(lo, hi + 1)
@@ -505,9 +505,45 @@ def test_one_search_per_y_start_is_the_union_of_the_per_split_searches():
                         _reference_row_steps(d[:o1], q), _reference_row_steps(d[o2:], q)
                     )
                 ]
-                assert sorted(merged) == sorted(per_split), (d, q, o2)
-                checked += len(merged)
+                assert sorted(merged.pop(o2, [])) == sorted(per_split), (d, q, o2)
+                checked += len(per_split)
+            assert not merged, (d, q)
     assert checked > 0
+
+
+def test_c12_solve_makes_109609_place_calls():
+    # the pair search's work: the same as when each Y-row start made its
+    # own search
+    res = []
+    d = DIGIT_STRING_60.replace("o", "0")
+    assert place_calls(lambda: res.extend(solve_dnsp(d, [12])), "topcode.py") == 109609
+    assert len(res) == 111
+
+
+def test_seeded_round_trips_make_15215_place_calls():
+    # 250 encode -> string -> solve round trips, q cycling through 2..6
+    rng = random.Random(71)
+    strings = []
+    for i in range(250):
+        q = 2 + i % 5
+        t, f = random_distinct_label_tree(rng, q)
+        strings.append((string_from_topcode(topcode_from_graph(t, f)), q))
+    res = []
+    calls = place_calls(lambda: res.extend(len(solve_dnsp(d, [q])) for d, q in strings), "topcode.py")
+    assert calls == 15215
+    assert sum(res) == 3648
+
+
+def test_rows_that_pass_the_search_but_do_not_realize_are_an_internal_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(topcode, "_distinct_labels", lambda X, Y: None)
+    with pytest.raises(RuntimeError) as err:
+        solve_dnsp("132", [1])
+    assert str(err.value) == "rows X=(1,) Y=(2,) passed the tree search but do not realize as a tree"
+    path = tmp_path / "s.txt"
+    path.write_text("132\n")
+    r = cli.run(["topcode", "solve", str(path), "--q", "1"])
+    assert (r.exit_code, r.payload) == (3, "")
+    assert r.note.startswith("internal error: RuntimeError: rows X=(1,) Y=(2,)")
 
 
 def _value_mask(values):
@@ -655,6 +691,50 @@ def test_digit_values_are_read_only_in_digit_reads():
     tree = ast.parse(Path(topcode.__file__).read_text())
     (reader,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_digit_reads"]
     assert int_calls(reader) > 0 and int_calls(reader) == int_calls(tree)
+
+
+def _defined_reads(d):
+    """_digit_reads by its definition, each value int() of its slice."""
+    n = len(d)
+    return [
+        tuple((p + w, int(d[p : p + w])) for w in (2, 1) if p + w <= n and (w == 1 or d[p] != "0"))
+        for p in range(n)
+    ] + [()] * n
+
+
+def test_digit_reads_equal_the_int_slice_definition():
+    strings = ["".join(s) for n in range(1, 8) for s in itertools.product("019", repeat=n)]
+    rng = random.Random(73)
+    strings += ["".join(rng.choice("0123456789") for _ in range(rng.randrange(1, 70))) for _ in range(300)]
+    strings.append(DIGIT_STRING_60.replace("o", "0"))
+    for d in strings:
+        assert _digit_reads(d) == _defined_reads(d), d
+
+
+def test_encodings_equal_the_matrices_of_the_checked_constructor():
+    # topcode_from_graph and canonical() build without the checks; the
+    # public constructor must accept each result and rebuild it equal
+    rng = random.Random(79)
+    for case in range(300):
+        q = rng.randrange(1, 13)
+        if case % 2:
+            t, f = random_distinct_label_tree(rng, q)
+        else:  # colors 0..9: equal ends, equal columns and one-digit values
+            t, _ = random_distinct_label_tree(rng, q)
+            f = TotalColoring(
+                9,
+                {v: rng.randrange(0, 10) for v in t.vertices()},
+                {e: rng.randrange(0, 10) for e in t.edges()},
+            )
+        cols = sorted((f.edge(u, v),) + tuple(sorted((f.vertex(u), f.vertex(v)))) for u, v in t.edges())
+        want = TopcodeMatrix(*(tuple(c[i] for c in cols) for i in (1, 0, 2)))
+        shuffled = list(zip(want.X, want.E, want.Y))
+        rng.shuffle(shuffled)
+        flipped = [(y, e, x) if rng.random() < 0.5 else (x, e, y) for x, e, y in shuffled]
+        for m in (topcode_from_graph(t, f), TopcodeMatrix(*map(tuple, zip(*flipped))).canonical()):
+            assert all(type(row) is tuple for row in (m.X, m.E, m.Y))
+            for other in (want, TopcodeMatrix(m.X, m.E, m.Y)):
+                assert m == other and hash(m) == hash(other) and repr(m) == repr(other)
 
 
 def _differential_inputs():
