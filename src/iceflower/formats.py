@@ -12,6 +12,13 @@ exact first word (``system``, ``base``, ``steps``, ``topcode``) plus a
 fixed number of fields.  Whitespace stays free: lines are stripped,
 blank lines are skipped, and fields are split on any run of whitespace,
 except in topcode rows, whose entries are separated by single commas.
+
+A table of rows of n integers (graph edges, colored edges, a script's
+base table and its steps) is read by _table in one match of one module
+pattern per row width n over the joined lines.  Fields in a row are
+apart by whitespace that is not a newline, so no row crosses a line.
+When the match fails, the lines are read one at a time, and the first
+bad line raises its own error, the one a per-line reader gives.
 """
 from __future__ import annotations
 
@@ -47,6 +54,20 @@ def _int_fields(line: str, n: Optional[int], what: str, sep: Optional[str] = Non
     return [int(x) for x in parts]
 
 
+_ROWS = {n: r"%s(?:[^\S\n]+%s){%d}" % (_INT, _INT, n - 1) for n in (2, 3, 4)}
+_TABLES = {n: re.compile(r"%s(?:\n%s)*" % (row, row)) for n, row in _ROWS.items()}
+
+
+def _table(lines: List[str], n: int, what: str) -> List[int]:
+    """The fields of every line, in order, each line n integers: one match
+    over the joined lines, or, when that fails, the per-line reading,
+    which raises the first bad line's own error."""
+    body = "\n".join(lines)
+    if _TABLES[n].fullmatch(body):
+        return list(map(int, body.split()))
+    return [v for ln in lines for v in _int_fields(ln, n, what)]
+
+
 def _header(lines: List[str], usage: str) -> List[str]:
     """The fields of the first line, which must be shaped like `usage`:
     its exact first word, then one field per further word."""
@@ -76,9 +97,12 @@ def read_graph(text: str) -> Graph:
     if not lines:
         raise FormatError("empty graph document")
     p, q = _int_fields(lines[0], 2, "graph header")
+    if q < 0:
+        raise FormatError("graph header: negative edge count %d" % q)
     if len(lines) != 1 + q:
         raise FormatError("graph: expected %d edge lines, got %d" % (q, len(lines) - 1))
-    edges = [tuple(_int_fields(ln, 2, "edge")) for ln in lines[1:]]
+    ends = _table(lines[1:], 2, "edge")
+    edges = list(zip(ends[::2], ends[1::2]))
     try:
         return Graph(p, edges)
     except ValueError as e:
@@ -107,8 +131,8 @@ def read_colored(text: str) -> Tuple[Graph, TotalColoring]:
     vcolors = _int_fields(lines[1], p, "vertex colors")
     edges = []
     ec: Dict[Tuple[int, int], int] = {}
-    for ln in lines[2:]:
-        u, v, c = _int_fields(ln, 3, "colored edge")
+    rows = _table(lines[2:], 3, "colored edge")
+    for u, v, c in zip(rows[::3], rows[1::3], rows[2::3]):
         uv = _norm_edge(u, v)
         edges.append(uv)
         ec[uv] = c
@@ -189,17 +213,16 @@ def read_script(text: str) -> CoincideScript:
         raise FormatError("base header: negative star count %d" % n)
     if len(lines) < 2 + n:
         raise FormatError("script: truncated base table")
-    sizes = []
-    coeffs = []
-    for ln in lines[1 : 1 + n]:
-        m, a = _int_fields(ln, 2, "base star")
-        sizes.append(m)
-        coeffs.append(a)
+    table = _table(lines[1 : 1 + n], 2, "base star")
+    sizes, coeffs = table[::2], table[1::2]
     t = _int_fields(_header(lines[1 + n :], "steps t")[0], 1, "steps header")[0]
+    if t < 0:
+        raise FormatError("steps header: negative step count %d" % t)
     step_lines = lines[2 + n :]
     if len(step_lines) != t:
         raise FormatError("script: expected %d step lines, got %d" % (t, len(step_lines)))
-    steps = [tuple(_int_fields(ln, 4, "step")) for ln in step_lines]
+    fields = _table(step_lines, 4, "step")
+    steps = list(zip(fields[::4], fields[1::4], fields[2::4], fields[3::4]))
     try:
         base = IceFlowerSystem([make_star(m) for m in sizes])
         return CoincideScript(base, tuple(coeffs), tuple(steps))

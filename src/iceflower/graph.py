@@ -104,6 +104,18 @@ class Graph:
         self.q = q
         self._adj = adj
 
+    @classmethod
+    def _trusted(cls, p: int, adj: List[set]) -> "Graph":
+        """A graph on adjacency sets built without __init__'s checks, for a
+        caller that already holds its invariants: 1 <= p <= MAX_VERTICES,
+        adj[0] empty, adj[1..p] symmetric sets of ids in 1..p with no
+        loops.  Leaf surgery holds them by construction (leafops._lay_out
+        shifts valid parts past each other; Surgery.finish renumbers a
+        valid graph's survivors).  The graph owns adj afterwards."""
+        g = object.__new__(cls)
+        g.p, g.q, g._adj = p, sum(map(len, adj)) // 2, adj
+        return g
+
     # -- basic accessors ---------------------------------------------------
 
     def vertices(self) -> range:

@@ -27,7 +27,7 @@ from .graph import (
 )
 from .families import prufer_to_tree
 from .coloring import TotalColoring, is_proper_total
-from .leafops import LeafEdge, Surgery, _lay_out
+from .leafops import Surgery, _lay_out
 from .system import ColoredIceFlowerSystem, IceFlowerSystem, Star, make_star
 
 Step = Tuple[int, int, int, int]  # (instance, leaf slot, instance, leaf slot)
@@ -69,19 +69,20 @@ def _replay(
         raise ValueError("system stars do not match the script base")
     colorings = system.colorings if system is not None else None
     g, theta, shifts = _lay_out(script.base.stars, script.coefficients, colorings)
-    ends = shifts[1:] + [g.p]
+    centers = [s + 1 for s in shifts]
+    leaves = [star.m for star, a in zip(script.base.stars, script.coefficients) for _ in range(a)]
 
     surgery = Surgery(g, theta)
     for t1, l1, t2, l2 in script.steps:
         for t, l in ((t1, l1), (t2, l2)):
-            if not (1 <= t <= len(shifts) and 0 <= l < ends[t - 1] - shifts[t - 1]):
+            if not (1 <= t <= len(centers) and 0 <= l <= leaves[t - 1]):
                 raise ValueError("step references unknown slot (%d,%d)" % (t, l))
             if l < 1:
                 raise ValueError("steps must consume leaf slots, not centers")
-            if shifts[t - 1] + 1 + l in surgery.gone:
+            if centers[t - 1] + l in surgery.gone:
                 raise ValueError("slot (%d,%d) already consumed" % (t, l))
-        c1, c2 = shifts[t1 - 1] + 1, shifts[t2 - 1] + 1
-        surgery.merge(LeafEdge(c1, c1 + l1), LeafEdge(c2, c2 + l2))
+        c1, c2 = centers[t1 - 1], centers[t2 - 1]
+        surgery.merge((c1, c1 + l1), (c2, c2 + l2))
     g, _, theta = surgery.finish()
     return g, theta
 

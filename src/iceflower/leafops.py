@@ -12,12 +12,17 @@ Operations that delete vertices renumber the survivors densely and
 return the old-id -> new-id map, so sequences of moves stay replayable.
 A whole batch of merges runs through one Surgery on fixed ids and is
 renumbered once at the end, with the same result as the one-step chain.
-Every side-by-side layout of graphs or stars, colored or not, comes from
-one function, _lay_out, and every merge obeys one color rule, written
-once as a key and its mirror by _color_key.
+A Surgery keeps only a delta over its starting graph, the deleted
+leaves and the merged support pairs, and never copies the graph: no
+merge changes the degree of a vertex it keeps, so every degree test
+reads the starting graph.  Every side-by-side layout of graphs or
+stars, colored or not, comes from one function, _lay_out, and every
+merge obeys one color rule, written once as a key and its mirror by
+_color_key.
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .graph import Edge, Graph, _check_order, _norm_edge
@@ -29,18 +34,34 @@ class LeafEdge(NamedTuple):
     leaf: int
 
 
-def _color_key(vc: Dict[int, int], ec: Dict[Edge, int], e: LeafEdge) -> Tuple[tuple, tuple]:
-    """The one color rule for merging two leaf-edges, as a key: e's colors
-    (support x, leaf y, edge c), and the colors (y, x, c) that its partner
-    must have.  So each support has the other leaf's color, and the two
-    edge colors are equal."""
-    x, y, c = vc[e.support], vc[e.leaf], ec[_norm_edge(*e)]
+def _color_key(vc: Dict[int, int], ec: Dict[Edge, int], e: Tuple[int, int]) -> Tuple[tuple, tuple]:
+    """The one color rule for merging two leaf-edges, as a key: the colors
+    of e = (support x, leaf y) and its edge c, and the colors (y, x, c)
+    that its partner must have.  So each support has the other leaf's
+    color, and the two edge colors are equal."""
+    s, l = e
+    x, y, c = vc[s], vc[l], ec[_norm_edge(s, l)]
     return (x, y, c), (y, x, c)
 
 
-def _compatible(vc: Dict[int, int], ec: Dict[Edge, int], e1: LeafEdge, e2: LeafEdge) -> bool:
+def _compatible(
+    vc: Dict[int, int], ec: Dict[Edge, int], e1: Tuple[int, int], e2: Tuple[int, int]
+) -> bool:
     """e2's colors are the colors that e1's partner must have."""
     return _color_key(vc, ec, e2)[0] == _color_key(vc, ec, e1)[1]
+
+
+def _require_leaf_edge(
+    adj: Sequence[Set[int]], s: int, x: int, is_edge: bool, label: Callable[[int], int]
+) -> None:
+    """Reject (s, x) unless it is an edge (the caller's verdict) whose end
+    x has degree 1 and whose end s has degree >= 2 in adj."""
+    if not is_edge:
+        raise ValueError("(%d,%d) is not an edge" % (label(s), label(x)))
+    if len(adj[x]) != 1:
+        raise ValueError("vertex %d is not a leaf" % label(x))
+    if len(adj[s]) < 2:
+        raise ValueError("support %d has no eligible degree" % label(s))
 
 
 def check_leaf_edge(
@@ -49,12 +70,8 @@ def check_leaf_edge(
     """Reject e unless it is a leaf-edge of the adjacency sets adj (indexed
     by vertex id, slot 0 unused).  Error messages name vertex v as
     label(v), v itself by default."""
-    if not (1 <= e.support < len(adj) and e.leaf in adj[e.support]):
-        raise ValueError("(%d,%d) is not an edge" % (label(e.support), label(e.leaf)))
-    if len(adj[e.leaf]) != 1:
-        raise ValueError("vertex %d is not a leaf" % label(e.leaf))
-    if len(adj[e.support]) < 2:
-        raise ValueError("support %d has no eligible degree" % label(e.support))
+    s, x = e
+    _require_leaf_edge(adj, s, x, 1 <= s < len(adj) and x in adj[s], label)
 
 
 def leaf_edges(g: Graph) -> list:
@@ -100,14 +117,30 @@ def leaf_split(g: Graph, u: int, v: int) -> SplitResult:
 
 
 class Surgery:
-    """A batch of leaf merges applied on the vertex ids of one graph.
+    """A batch of leaf merges, kept as a delta over one starting graph.
 
-    Adjacency sets (and, with a coloring, edge colors) stay keyed by the
-    ids of the starting graph: a merge deletes its two leaves in place,
-    and finish() renumbers the survivors densely in id order, once.  A
-    chain of one-step merges renumbers in that same order, so the graph,
-    vertex map and coloring come out identical to the chain's, and error
-    messages name vertices by the ids the chain would show.
+    The state is the set `gone` of deleted leaves and the map `joined`
+    from each merged support pair (u, v), u < v, to the color of its new
+    edge (None without a coloring).  The starting graph's adjacency sets
+    are only read: a merge adds two ids to `gone` and one entry to
+    `joined`, and nothing is copied, whatever the size of the graph.
+
+    Reading degrees off the starting graph is sound because no survivor's
+    degree ever changes.  A merge deletes two degree-1 vertices, and each
+    of its supports loses its leaf and gains the other support in its
+    place.  So every vertex that is not gone has its starting degree, and
+    every degree test reads it there.  (s, x) is an edge exactly when
+    neither end is gone and x is a starting neighbor of s or {s, x} is a
+    merged pair: merges delete only edges at a gone leaf and add only
+    merged pairs.  A leaf-edge is always a starting edge, since both ends
+    of a merged pair keep degree >= 2, so its colors never change and are
+    read off the starting coloring.
+
+    finish() builds the merged graph once, with the survivors renumbered
+    densely in id order.  A chain of one-step merges renumbers in that
+    same order, so the graph, vertex map and coloring come out identical
+    to the chain's, and error messages name vertices by the ids the chain
+    would show.
 
     With a coloring every merge is checked for color compatibility.  On
     a proper total coloring that check alone keeps the coloring proper,
@@ -121,56 +154,74 @@ class Surgery:
 
     def __init__(self, g: Graph, theta: Optional[TotalColoring] = None):
         self.p = g.p
-        self.adj = [set(a) for a in g._adj]
-        self.gone: set = set()  # deleted leaves
+        self._adj = g._adj  # read, never written
+        self.gone: Set[int] = set()  # deleted leaves
+        self.joined: Dict[Edge, Optional[int]] = {}  # merged support pair -> edge color
         self.theta = theta
         if theta is not None:
             vc, ec = theta.vertex_colors, theta.edge_colors
             if any(v not in vc for v in g.vertices()) or any(e not in ec for e in g.edges()):
                 raise ValueError("coloring does not cover the graph")
-            self.ec = dict(ec)
 
     def _label(self, v: int) -> int:
         return v - sum(1 for x in self.gone if x < v)
 
-    def merge(self, e1: LeafEdge, e2: LeafEdge) -> None:
-        """Delete both leaves and join the supports; the state is left
-        untouched when the merge is rejected."""
-        check_leaf_edge(self.adj, e1, self._label)
-        check_leaf_edge(self.adj, e2, self._label)
-        u, v = e1.support, e2.support
-        if self.theta is not None and not _compatible(self.theta.vertex_colors, self.ec, e1, e2):
+    def _check(self, s: int, x: int) -> None:
+        """check_leaf_edge on the merged graph, read off the delta."""
+        adj, gone = self._adj, self.gone
+        is_edge = (
+            1 <= s < len(adj)
+            and s not in gone
+            and x not in gone
+            and (x in adj[s] or _norm_edge(s, x) in self.joined)
+        )
+        _require_leaf_edge(adj, s, x, is_edge, self._label)
+
+    def merge(self, e1: Tuple[int, int], e2: Tuple[int, int]) -> None:
+        """Delete both leaves and join the supports of the leaf-edges e1
+        and e2, each a LeafEdge or a plain (support, leaf) pair.  The state
+        is left untouched when the merge is rejected."""
+        (u, l1), (v, l2) = e1, e2
+        self._check(u, l1)
+        self._check(v, l2)
+        theta = self.theta
+        if theta is not None and not _compatible(theta.vertex_colors, theta.edge_colors, e1, e2):
             raise ValueError("leaf-edges are not color-compatible")
-        if e1.leaf == e2.leaf:
+        if l1 == l2:
             raise ValueError("need two distinct leaf-edges")
         if u == v:
             raise ValueError("leaf-edges share the support %d" % self._label(u))
-        if v in self.adj[u]:
+        pair = _norm_edge(u, v)
+        if v in self._adj[u] or pair in self.joined:
             raise ValueError(
                 "supports %d,%d already adjacent; merge would double the edge"
                 % (self._label(u), self._label(v))
             )
-        for s, leaf in (e1, e2):
-            self.adj[s].discard(leaf)
-            self.adj[leaf].clear()
-            self.gone.add(leaf)
-        self.adj[u].add(v)
-        self.adj[v].add(u)
-        if self.theta is not None:
-            self.ec[_norm_edge(u, v)] = self.ec[_norm_edge(*e1)]  # deleted edges keep their colors
+        self.gone.add(l1)
+        self.gone.add(l2)
+        self.joined[pair] = None if theta is None else theta.edge_colors[_norm_edge(u, l1)]
 
     def finish(self) -> Tuple[Graph, Dict[int, int], Optional[TotalColoring]]:
         """The merged graph with survivors renumbered densely in id order,
         the old-id -> new-id map, and the carried coloring (or None)."""
-        keep = [v for v in range(1, self.p + 1) if v not in self.gone]
-        new = {old: i + 1 for i, old in enumerate(keep)}
-        pairs = sorted((a, b) for a in keep for b in self.adj[a] if a < b)
-        g = Graph(len(keep), [(new[a], new[b]) for a, b in pairs])
+        gone = self.gone
+        keep = [v for v in range(1, self.p + 1) if v not in gone]
+        new = dict(zip(keep, range(1, len(keep) + 1)))
+        # the starting edges that no merge deleted
+        kept = [(u, w) for u in keep for w in self._adj[u] if u < w and w not in gone]
+        adj: List[Set[int]] = [set() for _ in range(len(keep) + 1)]
+        for u, v in chain(kept, self.joined):
+            a, b = new[u], new[v]
+            adj[a].add(b)
+            adj[b].add(a)
+        g = Graph._trusted(len(keep), adj)
         if self.theta is None:
             return g, new, None
-        vc = {new[v]: self.theta.vertex_colors[v] for v in keep}
-        ec = {(new[a], new[b]): self.ec[(a, b)] for a, b in pairs}
-        return g, new, TotalColoring(self.theta.palette, vc, ec)
+        vc, ec = self.theta.vertex_colors, self.theta.edge_colors
+        colors = {e: ec[e] for e in kept}
+        colors.update(self.joined)
+        merged_ec = {(new[a], new[b]): colors[a, b] for a, b in sorted(colors)}
+        return g, new, TotalColoring(self.theta.palette, {new[v]: vc[v] for v in keep}, merged_ec)
 
 
 def leaf_coincide(g: Graph, e1: LeafEdge, e2: LeafEdge) -> CoincideResult:
@@ -206,10 +257,13 @@ def _lay_out(
     the largest palette bound among them.  Returns the graph, the
     combined coloring (None without colorings) and each copy's id shift.
     The total order is checked against MAX_VERTICES before anything is
-    allocated.
+    allocated.  Every caller lays out at least one copy, and copies of
+    valid parts are valid side by side, so the graph is built through
+    Graph._trusted.
     """
-    _check_order(sum(part.p * a for part, a in zip(parts, counts)))
-    edges: List[Edge] = []
+    p = sum(part.p * a for part, a in zip(parts, counts))
+    _check_order(p)
+    adj: List[Set[int]] = [set() for _ in range(p + 1)]
     vc: Dict[int, int] = {}
     ec: Dict[Edge, int] = {}
     shifts: List[int] = []
@@ -218,13 +272,15 @@ def _lay_out(
         part_edges = part.edges()
         for _ in range(a):
             shifts.append(s)
-            edges.extend((u + s, v + s) for u, v in part_edges)
+            for u, v in part_edges:
+                adj[u + s].add(v + s)
+                adj[v + s].add(u + s)
             if f is not None:
                 vc.update((v + s, c) for v, c in f.vertex_colors.items())
                 ec.update(((u + s, v + s), c) for (u, v), c in f.edge_colors.items())
             s += part.p
     theta = None if colorings is None else TotalColoring(max(f.palette for f in colorings), vc, ec)
-    return Graph(s, edges), theta, shifts
+    return Graph._trusted(p, adj), theta, shifts
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Tuple[Graph, int]:

@@ -630,6 +630,13 @@ _STAR_DOC = "3 2 5\n1 2 3\n1 2 4\n1 3 5\n"  # K_{1,2}, edge weight 0
             ["recompose", "{a}"], "base 2\n2 1\n", "script: truncated base table", id="script-truncated",
         ),
         pytest.param(
+            ["recompose", "{a}"], "base 1\n2 1\nsteps -1\n",
+            "steps header: negative step count -1", id="script-negative-step-count",
+        ),
+        pytest.param(
+            ["decompose", "{a}"], "3 -1\n", "graph header: negative edge count -1", id="graph-negative-edge-count",
+        ),
+        pytest.param(
             ["recompose", "{a}"], "base 1\n1 1\nsteps 0\n",
             "script: stars in a system need m >= 2, got 1", id="script-one-leaf-star",
         ),

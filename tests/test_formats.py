@@ -289,3 +289,34 @@ def test_graph_document_round_trip_on_random_graphs(g):
 def test_script_document_round_trip_on_star_decompositions(g):
     sc = decompose_to_stars(g)
     assert read_script(write_script(sc)) == sc
+
+
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [
+        (read_graph, "3 2\n1\n2\n", "edge: expected 2 fields, got '1'"),
+        (read_graph, "3 2\n1 2\n2\n3\n", "graph: expected 2 edge lines, got 3"),
+        (read_graph, "3 1\n1\x0b2\n", "graph: expected 1 edge lines, got 2"),  # \v ends a line
+        (read_graph, "3 2\n1 x\n2\n", "edge: non-integer field in '1 x'"),  # the first bad line
+        (read_colored, "3 2 5\n1 2 3\n1 2\n4\n", "colored edge: expected 3 fields, got '1 2'"),
+        (read_script, "base 2\n2\n1\nsteps 0\n", "base star: expected 2 fields, got '2'"),
+        (read_script, "base 1\n2 2\nsteps 2\n1 1\n1 2\n", "step: expected 4 fields, got '1 1'"),
+        (read_script, "base 1\n2 1\nsteps 1\n1 1 1 +1\n", "step: non-integer field in '1 1 1 +1'"),
+    ],
+)
+def test_no_table_row_crosses_a_line(reader, text, message):
+    """A row split over two lines is two short rows, never one row: the
+    error names the first bad line, as the per-line reading does."""
+    with pytest.raises(FormatError) as info:
+        reader(text)
+    assert str(info.value) == message
+
+
+def test_blank_lines_and_tabs_inside_rows_are_whitespace():
+    f = TotalColoring(5, {1: 1, 2: 2, 3: 3}, {(1, 2): 4, (2, 3): 5})
+    assert read_graph("3 2\n\n1\t2\n \n2 \t3\n\n") == path_graph(3)
+    assert read_graph("3 2\n1\u00a02\n2\u30003\n") == path_graph(3)  # so do Unicode spaces
+    assert read_colored("3 2 5\n1\t2 3\n\n1 2\t4\n2\t 3 5\n") == (path_graph(3), f)
+    sc = decompose_to_stars(complete_graph(4))
+    doc = write_script(sc).replace(" ", "\t").replace("\n", "\n \n")
+    assert read_script(doc) == sc

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -411,3 +412,94 @@ def test_leaf_edge_errors_name_the_ids_a_one_step_chain_shows():
         leaf_coincide_across(g, LeafEdge(9, 10), g, LeafEdge(1, 4))
     with pytest.raises(ValueError, match="vertex 5 is not a leaf"):
         colored_compatible(g, greedy_proper_total(g), LeafEdge(1, 4), LeafEdge(7, 5))
+
+
+def test_a_merged_support_pair_is_an_edge_of_the_batch():
+    """An edge made by a merge joins two supports, so offered as a
+    leaf-edge it fails the leaf test, as it does on the one-step chain,
+    and a second merge of the same supports would double it."""
+    g = Graph(8, [(1, 2), (2, 3), (4, 5), (5, 6), (2, 7), (5, 8)])
+    surgery = Surgery(g)
+    surgery.merge(LeafEdge(2, 1), LeafEdge(5, 4))
+    chain = leaf_coincide(g, LeafEdge(2, 1), LeafEdge(5, 4))
+    m = chain.vertex_map
+    for bad, other, msg in (
+        (LeafEdge(2, 5), LeafEdge(5, 6), "vertex 3 is not a leaf"),
+        (LeafEdge(5, 2), LeafEdge(2, 3), "vertex 1 is not a leaf"),
+        (LeafEdge(2, 3), LeafEdge(5, 6), "supports 1,3 already adjacent; merge would double the edge"),
+    ):
+        with pytest.raises(ValueError) as batch:
+            surgery.merge(bad, other)
+        assert str(batch.value) == msg
+        with pytest.raises(ValueError) as one:
+            leaf_coincide(chain.graph, LeafEdge(m[bad.support], m[bad.leaf]), LeafEdge(m[other.support], m[other.leaf]))
+        assert str(one.value) == msg
+    assert surgery.finish()[:2] == chain
+
+
+def _leafy_graph(rng):
+    """A random connected graph with extra leaves hung on random vertices,
+    sometimes beside a lone edge, whose ends are both leaves."""
+    p = rng.randrange(2, 10)
+    edges = random_connected_graph(rng, p, rng.randrange(0, 3)).edges()
+    hair = rng.randrange(0, 8)
+    edges += [(rng.randrange(1, p + 1), p + i) for i in range(1, hair + 1)]
+    if rng.random() < 0.3:
+        edges.append((p + hair + 1, p + hair + 2))
+        hair += 2
+    return Graph(p + hair, edges)
+
+
+def test_batch_merges_equal_a_chain_of_public_merges():
+    """Random accepted and rejected merges: the batch accepts exactly what
+    the one-step chain accepts, with the same message otherwise; no
+    survivor's degree changes; and the result is the chain's."""
+    rng = random.Random(61)
+    outcomes = {"merged": 0, "refused": 0, "unknown to the chain": 0}
+    for _ in range(400):
+        g = _leafy_graph(rng)
+        surgery = Surgery(g)
+        chain, m = g, {v: v for v in g.vertices()}  # starting id -> chain id, survivors only
+        for _ in range(rng.randrange(1, 10)):
+            back = {c: v for v, c in m.items()}
+            les = leaf_edges(chain)
+            r = rng.random()
+            if r < 0.5 and len(les) >= 2:
+                pair = [LeafEdge(back[s], back[x]) for s, x in rng.sample(les, 2)]
+            elif r < 0.6 and surgery.joined:
+                u, v = rng.choice(sorted(surgery.joined))  # an edge the batch made
+                pair = rng.sample([LeafEdge(u, v), LeafEdge(v, u)], 2)
+            elif r < 0.7 and surgery.gone:
+                leaf = rng.choice(sorted(surgery.gone))
+                (s,) = g.neighbors(leaf)  # the support it had
+                pair = rng.sample([LeafEdge(s, leaf), LeafEdge(leaf, s)], 2)
+                ids = tuple(v - sum(1 for x in surgery.gone if x < v) for v in pair[0])
+                with pytest.raises(ValueError, match=re.escape("(%d,%d) is not an edge" % ids)):
+                    surgery.merge(*pair)
+                outcomes["unknown to the chain"] += 1
+                continue
+            else:
+                pair = [LeafEdge(rng.randrange(0, g.p + 2), rng.randrange(0, g.p + 2)) for _ in range(2)]
+            try:
+                surgery.merge(*pair)
+                got = None
+            except ValueError as err:
+                got = str(err)
+            if not all(v in m for e in pair for v in e):
+                assert got is not None  # a gone or unknown vertex is never part of an edge
+                outcomes["unknown to the chain"] += 1
+                continue
+            try:
+                res = leaf_coincide(chain, *(LeafEdge(m[s], m[x]) for s, x in pair))
+                want = None
+            except ValueError as err:
+                want = str(err)
+            assert got == want
+            outcomes["merged" if want is None else "refused"] += 1
+            if want is None:
+                chain = res.graph
+                m = {v: res.vertex_map[c] for v, c in m.items() if c in res.vertex_map}
+        out, vertex_map, _ = surgery.finish()
+        assert (out, vertex_map) == (chain, m)
+        assert all(out.degree(vertex_map[v]) == g.degree(v) for v in vertex_map)
+    assert min(outcomes.values()) > 200, outcomes
