@@ -81,6 +81,20 @@ def graph_classes(p: int) -> Tuple[Graph, ...]:
       graph isomorphism, Congr. Numer. 30, 1981), so the group itself is
       never listed.  An edgeless g has Aut(g) = Sym(p-1), which the
       search finds like any other group.
+    - Only augmentations in which the new vertex could be the canonical
+      deletion are canonicalized (McKay 1998 again).  Let σ(v) be the
+      sorted list of the degrees of v's neighbors.  A mask is dropped
+      when some vertex of minimum degree k has a σ strictly smaller than
+      the new vertex's; ties pass.  The degrees of g + mask are g's plus
+      the mask's bits, so a dropped mask builds no graph.  No class is
+      lost: take any class H and a vertex v of minimum degree in H whose
+      σ is smallest.  H - v is isomorphic to a base g, and v's neighbors
+      map to a mask m that passes the min-degree test.  The walk
+      canonicalizes one mask m' = a(m) of m's Aut(g)-orbit, and an
+      isomorphism g + m' -> H sends the new vertex to v and keeps degrees
+      and σ, so m' passes too.  The test keeps degrees and adjacency
+      only, so it gives the same answer on a whole orbit and runs once
+      per orbit, after the marking.
 
     Each class is stored as its canonical form, so which copy of it is
     met first changes no output.
@@ -93,6 +107,7 @@ def graph_classes(p: int) -> Tuple[Graph, ...]:
     for g in graph_classes(p - 1):
         base = g.edges()
         deg = [g.degree(i + 1) for i in range(p - 1)]
+        nbrs = [[w - 1 for w in g._adj[i + 1]] for i in range(p - 1)]
         # bit i (vertex i + 1) goes to bit image[i] under each generator
         images = [[w - 1 for w in a] for a in _automorphism_generators(g)]
         marked = set()
@@ -111,6 +126,14 @@ def graph_classes(p: int) -> Tuple[Graph, ...]:
                     if m2 not in marked:
                         marked.add(m2)
                         stack.append(m2)
+            d = [deg[i] + (mask >> i & 1) for i in range(p - 1)]
+            sigma = sorted(d[i] for i in range(p - 1) if mask >> i & 1)
+            if any(
+                d[i] == k
+                and sorted([d[w] for w in nbrs[i]] + [k] * (mask >> i & 1)) < sigma
+                for i in range(p - 1)
+            ):
+                continue
             edges = base + [(i + 1, p) for i in range(p - 1) if mask >> i & 1]
             key = canonical_form(Graph(p, edges))
             if key not in seen:

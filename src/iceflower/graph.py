@@ -263,7 +263,19 @@ def connected_components(g: Graph) -> List[List[int]]:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
+    """One depth-first search from vertex 1: does it reach all p vertices?"""
+    adj = g._adj
+    seen = [False] * (g.p + 1)
+    seen[1] = True
+    stack = [1]
+    reached = 1
+    while stack:
+        for w in adj[stack.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                reached += 1
+                stack.append(w)
+    return reached == g.p
 
 
 def is_tree(g: Graph) -> bool:

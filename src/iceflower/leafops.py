@@ -160,7 +160,9 @@ class Surgery:
         self.theta = theta
         if theta is not None:
             vc, ec = theta.vertex_colors, theta.edge_colors
-            if any(v not in vc for v in g.vertices()) or any(e not in ec for e in g.edges()):
+            if any(v not in vc for v in g.vertices()) or any(
+                (u, w) not in ec for u, a in enumerate(g._adj) for w in a if u < w
+            ):
                 raise ValueError("coloring does not cover the graph")
 
     def _label(self, v: int) -> int:

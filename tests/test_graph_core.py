@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -136,6 +137,20 @@ def test_connectivity_and_trees():
     assert is_tree(path_graph(4))
     assert not is_tree(cycle_graph(4))
     assert leaves(star_graph(3)) == [2, 3, 4]
+
+
+def test_is_connected_equals_one_component():
+    rng = random.Random(3700)
+    graphs = [Graph(1), Graph(2), Graph(5)]  # edgeless, p = 1 included
+    for _ in range(300):
+        p = rng.randrange(1, 13)
+        g = random_connected_graph(rng, p, rng.randrange(0, p + 1))
+        # drop a few edges so that some graphs fall apart
+        kept = [e for e in g.edges() if rng.random() < 0.8]
+        graphs += [g, Graph(p, kept)]
+    assert any(not is_connected(g) for g in graphs)
+    for g in graphs:
+        assert is_connected(g) == (len(connected_components(g)) == 1)
 
 
 def test_hamilton_cycle_small():
@@ -488,7 +503,8 @@ def test_graph_classes_7_counts_a000088_and_a001349():
 
 def _count_canonical_calls(monkeypatch, prebuilt, p):
     """The orders of the graphs canonical_form sees while graph_classes(p)
-    is built, with graph_classes(prebuilt) already cached (none if 0)."""
+    is built, with graph_classes(prebuilt) already cached (none if 0), and
+    the classes on 1..p vertices built that way."""
     real = families.canonical_form
     calls = []
 
@@ -501,33 +517,47 @@ def _count_canonical_calls(monkeypatch, prebuilt, p):
         if prebuilt:
             graph_classes(prebuilt)
         monkeypatch.setattr(families, "canonical_form", counting)
-        graph_classes(p)
+        classes = [graph_classes(q) for q in range(1, p + 1)]
     finally:
         monkeypatch.undo()
         # drop every tuple built under the wrapper; later callers rebuild
         graph_classes.cache_clear()
-    return calls
+    return calls, classes
 
 
-def test_graph_classes_7_canonicalizes_1401_augmentations(monkeypatch):
-    calls = _count_canonical_calls(monkeypatch, 6, 7)
-    assert len(calls) == 1401 and set(calls) == {7}
+def test_graph_classes_7_canonicalizes_1078_augmentations(monkeypatch):
+    calls, _ = _count_canonical_calls(monkeypatch, 6, 7)
+    assert len(calls) == 1078 and set(calls) == {7}
 
 
-def test_graph_classes_canonicalizes_one_mask_per_orbit_for_p_2_to_6(monkeypatch):
-    calls = _count_canonical_calls(monkeypatch, 0, 6)
-    assert [calls.count(p) for p in range(1, 7)] == [0, 2, 4, 11, 37, 184]
+def test_graph_classes_canonicalizes_one_passing_mask_per_orbit_for_p_2_to_6(monkeypatch):
+    calls, _ = _count_canonical_calls(monkeypatch, 0, 6)
+    assert [calls.count(p) for p in range(1, 7)] == [0, 2, 4, 11, 34, 157]
 
 
-def test_graph_classes_1_to_7_makes_35332_place_calls():
+def test_graph_classes_8_from_a_cold_cache(monkeypatch):
+    # about 2 s: the largest catalog any test builds
+    calls, classes = _count_canonical_calls(monkeypatch, 0, 8)
+    assert len(classes[7]) == 12346  # OEIS A000088
+    assert sum(map(is_connected, classes[7])) == 11117  # OEIS A001349
+    assert calls.count(8) == 13065
+    listing = repr([(g.p, g.edges()) for gs in classes for g in gs])
+    assert hashlib.sha256(listing.encode()).hexdigest() == (
+        "5841f7303c42087124d9c60b8e19e4306b0825602d71a441e0bad30ea21f09c1"
+    )
+
+
+def test_graph_classes_1_to_7_makes_29959_place_calls():
     # the canonical search's work from a cold cache; it made 87,022 calls
-    # when it still walked every layout that ties with its best one
+    # when it still walked every layout that ties with its best one, and
+    # 35,332 before augmentations whose new vertex is not the canonical
+    # deletion were dropped
     graph_classes.cache_clear()
     try:
         calls = place_calls(lambda: graph_classes(7), "graph.py")
     finally:
         graph_classes.cache_clear()
-    assert calls == 35332
+    assert calls == 29959
 
 
 def test_graph_classes_7_equals_the_min_degree_sweep():
