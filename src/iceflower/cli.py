@@ -6,6 +6,9 @@ planar, nothing found within the budget...), 2 = unusable input or
 usage, 3 = an internal error, never an answer.  A "no" is an answer,
 never a usage error.  `run` alone maps exceptions to exit codes: a
 ValueError (FormatError included) is 2, any other exception is 3.
+
+Each command's parser names its handler, so `run` dispatches by calling
+it: a handler takes the parsed arguments and returns a CommandResult.
 """
 from __future__ import annotations
 
@@ -90,81 +93,72 @@ def _build_parser() -> _Parser:
     """Built once per process: parse_args keeps no state in the parser."""
     p = _Parser(prog="iceflower", description="star systems, lattices, and topcode strings")
     sub = p.add_subparsers(dest="cmd", required=True)
+    leaves = []
 
-    d = sub.add_parser("decompose", help="graph -> star script")
-    d.add_argument("input")
+    def group(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(dest="sub", required=True)
 
-    r = sub.add_parser("recompose", help="star script -> graph")
-    r.add_argument("input")
+    def leaf(parent, name, handler, *positionals, **kw):
+        """A command's parser: its positionals and the handler `run` calls."""
+        lp = parent.add_parser(name, **kw)
+        for positional in positionals:
+            lp.add_argument(positional)
+        lp.set_defaults(run=handler)
+        leaves.append(lp)
+        return lp
 
-    lat = sub.add_parser("lattice", help="lattice membership checks")
-    latsub = lat.add_subparsers(dest="sub", required=True)
-    lc = latsub.add_parser("check")
-    lc.add_argument("kind", choices=["uncolored", "hamiltonian", "planar", "spanning", "colored"])
+    leaf(sub, "decompose", _decompose, "input", help="graph -> star script")
+    leaf(sub, "recompose", _recompose, "input", help="star script -> graph")
+
+    lc = leaf(group("lattice", "lattice membership checks"), "check",
+              lambda args: _LATTICE_CHECKS[args.kind](args, _read_file(args.input)))
+    lc.add_argument("kind", choices=_LATTICE_CHECKS)
     lc.add_argument("input")
     lc.add_argument("--base", help="star sizes m1,m2,... (uncolored) or a system file (colored)")
 
-    seq = sub.add_parser("seq", help="degree-sequence checks")
-    seqsub = seq.add_subparsers(dest="sub", required=True)
-    sc = seqsub.add_parser("check")
+    sc = leaf(group("seq", "degree-sequence checks"), "check", _seq_check)
     sc.add_argument("sequence", help="degree sequence, e.g. 3,2,2,1")
 
-    ham = sub.add_parser("hamiltonian", help="haired-cycle constructions")
-    hamsub = ham.add_subparsers(dest="sub", required=True)
-    hb = hamsub.add_parser("build")
+    hb = leaf(group("hamiltonian", "haired-cycle constructions"), "build", _hamiltonian_build)
     hb.add_argument("degrees", help="spine degrees in cyclic order, e.g. 3,3,3,3")
     hb.add_argument("--budget", type=_int, default=20, help="max pendants for the exhaustive sweep")
     hb.add_argument("--seed", type=_int, default=0)
 
-    col = sub.add_parser("coloring", help="total-coloring operations")
-    colsub = col.add_subparsers(dest="sub", required=True)
-    cv = colsub.add_parser("verify")
-    cv.add_argument("input")
-    cc = colsub.add_parser("chi-fdt")
-    cc.add_argument("input")
-    cc.add_argument("--max-colors", type=_int, default=16)
+    col = group("coloring", "total-coloring operations")
+    leaf(col, "verify", _coloring_verify, "input")
+    leaf(col, "chi-fdt", _chi_fdt, "input").add_argument("--max-colors", type=_int, default=16)
 
-    ice = sub.add_parser("iceflower", help="star-system operations")
-    icesub = ice.add_subparsers(dest="sub", required=True)
-    ib = icesub.add_parser("build")
+    ice = group("iceflower", "star-system operations")
+    ib = leaf(ice, "build", _iceflower_build)
     ib.add_argument("n", type=_int)
     ib.add_argument("k", type=_int)
-    isc = icesub.add_parser("strong-check")
-    isc.add_argument("input")
+    leaf(ice, "strong-check", _strong_check, "input")
 
-    sat = sub.add_parser("saturate", help="merge star copies toward saturation")
-    sat.add_argument("input")
+    sat = leaf(sub, "saturate", _saturate, "input", help="merge star copies toward saturation")
     sat.add_argument("--copies", required=True, help="copies per star, e.g. 1,1,0")
 
-    top = sub.add_parser("topcode", help="matrix encode/decode/solve")
-    topsub = top.add_subparsers(dest="sub", required=True)
-    te = topsub.add_parser("encode")
-    te.add_argument("input")
-    te.add_argument("--string", action="store_true", help="emit the number string instead of the matrix")
-    td = topsub.add_parser("decode")
-    td.add_argument("input")
-    td.add_argument("--identify", action="store_true")
-    ts = topsub.add_parser("solve")
-    ts.add_argument("input")
+    top = group("topcode", "matrix encode/decode/solve")
+    leaf(top, "encode", _topcode_encode, "input").add_argument(
+        "--string", action="store_true", help="emit the number string instead of the matrix")
+    leaf(top, "decode", _topcode_decode, "input").add_argument("--identify", action="store_true")
+    ts = leaf(top, "solve", _topcode_solve, "input")
     ts.add_argument("--q", required=True, help="edge count: N, LO:HI, or a,b,c")
     ts.add_argument("--substitute-o", action="store_true",
                     help="read the letter o as the digit 0 (reported, never silent)")
     ts.add_argument("--limit", type=_int, default=10, help="solutions to print in full (0 = all)")
 
-    ex = sub.add_parser("export", help="visualization export")
-    exsub = ex.add_subparsers(dest="sub", required=True)
-    ed = exsub.add_parser("dot")
-    ed.add_argument("input")
+    leaf(group("export", "visualization export"), "dot", _export_dot, "input")
 
-    for subparser in (d, r, lc, sc, hb, cv, cc, ib, isc, sat, te, td, ts, ed):
-        subparser.add_argument("--threads", type=_int, default=1,
-                               help="parallelism hint (results never depend on it)")
+    for lp in leaves:  # last, so each leaf's help lists its own options first
+        lp.add_argument("--threads", type=_int, default=1,
+                        help="parallelism hint (results never depend on it)")
     return p
 
 
 def run(argv: List[str]) -> CommandResult:
     try:
-        return _dispatch(_build_parser().parse_args(argv))
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except formats.FormatError as e:
         return CommandResult(2, note="format error: %s" % e)
     except ValueError as e:
@@ -173,192 +167,191 @@ def run(argv: List[str]) -> CommandResult:
         return CommandResult(3, note="internal error: %s: %s" % (type(e).__name__, e))
 
 
-def _dispatch(args) -> CommandResult:
-    if args.cmd == "decompose":
-        g, _ = formats.read_any_graph(_read_file(args.input))
-        script = decompose_to_stars(g)
-        return CommandResult(0, formats.write_script(script))
-
-    if args.cmd == "recompose":
-        script = formats.read_script(_read_file(args.input))
-        g = recompose(script)
-        return CommandResult(0, formats.write_graph(g))
-
-    if args.cmd == "lattice":
-        return _lattice_check(args)
-
-    if args.cmd == "seq":
-        degs = _ints(args.sequence, "sequence")
-        if not is_graphical(degs):
-            return CommandResult(1, note="not graphical")
-        g = realize_sequence(degs)
-        return CommandResult(0, formats.write_graph(g))
-
-    if args.cmd == "hamiltonian":
-        if args.budget < 0:
-            raise ValueError("--budget: expected a count >= 0, got %d" % args.budget)
-        degs = _ints(args.degrees, "degrees")
-        hc = build_haired_cycle(degs)
-        try:
-            res = close_to_hamiltonian(hc, exhaustive_limit=args.budget, seed=args.seed)
-        except NoClosure as e:
-            return CommandResult(1, note="no closure: %s" % e)
-        head = "closures %d partial %d" % (len(res.graphs), 1 if res.partial else 0)
-        docs = [formats.write_graph(g).rstrip("\n") for g in res.graphs]
-        return CommandResult(0, "\n\n".join([head] + docs) + "\n")
-
-    if args.cmd == "coloring":
-        if args.sub == "verify":
-            g, f = formats.read_colored(_read_file(args.input))
-            if not is_proper_total(g, f):
-                return CommandResult(1, note="not a proper total coloring")
-            if g.q == 0:
-                return CommandResult(0, "proper total; palette %d; no edges\n" % f.palette)
-            rep = bfdt(g, f)
-            return CommandResult(
-                0,
-                "proper total; palette %d; weights %d..%d; spread %d\n"
-                % (f.palette, rep.wmin, rep.wmax, rep.bfdt),
-            )
-        if args.max_colors < 1:
-            raise ValueError("--max-colors: expected a count >= 1, got %d" % args.max_colors)
-        g, _ = formats.read_any_graph(_read_file(args.input))
-        result = chi_fdt(g, args.max_colors)
-        if result.coloring is None:
-            return CommandResult(
-                1,
-                note="no constant-weight coloring within %d colors" % result.searched_up_to,
-            )
-        return CommandResult(
-            0, "%d\n" % result.m + formats.write_colored(g, result.coloring)
-        )
-
-    if args.cmd == "iceflower":
-        if args.sub == "build":
-            s = build_uniform_fdt_system(args.n, args.k)
-            return CommandResult(0, formats.write_system(s))
-        s = formats.read_system(_read_file(args.input))
-        if is_strongly_colored(s):
-            return CommandResult(0, "strongly colored\n")
-        return CommandResult(1, note="not strongly colored")
-
-    if args.cmd == "saturate":
-        s = formats.read_system(_read_file(args.input))
-        copies = _ints(args.copies, "--copies")
-        res = saturate(s, copies)
-        doc = formats.write_colored(res.graph, res.coloring)
-        if res.saturated:
-            return CommandResult(0, doc, note="saturated")
-        return CommandResult(1, doc, note="not saturated")
-
-    if args.cmd == "topcode":
-        return _topcode(args)
-
-    if args.cmd == "export":
-        g, f = formats.read_any_graph(_read_file(args.input))
-        return CommandResult(0, formats.export_dot(g, f))
-
-    raise RuntimeError("unknown command")
+def _graph(args):
+    """The graph, and its coloring if any, in the file named by args.input."""
+    return formats.read_any_graph(_read_file(args.input))
 
 
-def _lattice_check(args) -> CommandResult:
-    text = _read_file(args.input)
-    kind = args.kind
+def _decompose(args) -> CommandResult:
+    g, _ = _graph(args)
+    return CommandResult(0, formats.write_script(decompose_to_stars(g)))
 
-    if kind == "uncolored":
-        if not args.base:
-            raise ValueError("lattice check uncolored needs --base m1,m2,...")
-        sizes = _ints(args.base, "--base")
-        base = IceFlowerSystem([make_star(m) for m in sizes])
-        g, _ = formats.read_any_graph(text)
-        script = uncolored_lattice_member(g, base)
-        if script is None:
-            return CommandResult(1, note="not a member: some internal degree has no base star")
-        return CommandResult(0, formats.write_script(script))
 
-    if kind == "hamiltonian":
-        g, _ = formats.read_any_graph(text)
+def _recompose(args) -> CommandResult:
+    script = formats.read_script(_read_file(args.input))
+    return CommandResult(0, formats.write_graph(recompose(script)))
+
+
+def _check_uncolored(args, text: str) -> CommandResult:
+    if not args.base:
+        raise ValueError("lattice check uncolored needs --base m1,m2,...")
+    sizes = _ints(args.base, "--base")
+    base = IceFlowerSystem([make_star(m) for m in sizes])
+    g, _ = formats.read_any_graph(text)
+    script = uncolored_lattice_member(g, base)
+    if script is None:
+        return CommandResult(1, note="not a member: some internal degree has no base star")
+    return CommandResult(0, formats.write_script(script))
+
+
+def _check_hamiltonian(args, text: str) -> CommandResult:
+    g, _ = formats.read_any_graph(text)
+    if not is_connected(g):
+        return CommandResult(1, note="not a member: disconnected")
+    if any(g.degree(v) < 2 for v in g.vertices()):
+        return CommandResult(1, note="not a member: vertex of degree < 2")
+    cycle = find_hamilton_cycle(g)
+    if cycle is None:
+        return CommandResult(1, note="not a member: no spanning cycle")
+    return CommandResult(0, "cycle " + " ".join(str(v) for v in cycle) + "\n")
+
+
+def _check_planar(args, text: str) -> CommandResult:
+    g, _ = formats.read_any_graph(text)
+    coloring = planar_lattice_member(g)
+    if coloring is None:
         if not is_connected(g):
             return CommandResult(1, note="not a member: disconnected")
-        if any(g.degree(v) < 2 for v in g.vertices()):
-            return CommandResult(1, note="not a member: vertex of degree < 2")
-        cycle = find_hamilton_cycle(g)
-        if cycle is None:
-            return CommandResult(1, note="not a member: no spanning cycle")
-        return CommandResult(0, "cycle " + " ".join(str(v) for v in cycle) + "\n")
-
-    if kind == "planar":
-        g, _ = formats.read_any_graph(text)
-        coloring = planar_lattice_member(g)
-        if coloring is None:
-            if not is_connected(g):
-                return CommandResult(1, note="not a member: disconnected")
-            if not is_planar(g):
-                return CommandResult(1, note="not planar")
-            return CommandResult(1, note="not a member: has a leaf")
-        line = " ".join(str(coloring[v]) for v in g.vertices())
-        return CommandResult(0, "4-coloring " + line + "\n")
-
-    if kind == "spanning":
-        g, _ = formats.read_any_graph(text)
-        if not is_tree(g):
-            return CommandResult(1, note="not a member: not a tree")
-        line = " ".join(str(v) for v in g.vertices())
-        return CommandResult(0, "rainbow " + line + "\n")
-
-    if kind == "colored":
-        if not args.base:
-            raise ValueError("lattice check colored needs --base SYSTEMFILE")
-        system = formats.read_system(_read_file(args.base))
-        g, f = formats.read_colored(text)
-        script = colored_lattice_member(g, f, system)
-        if script is None:
-            return CommandResult(1, note="not a member: some split star matches no base star")
-        return CommandResult(0, formats.write_script(script))
-
-    raise RuntimeError("unknown lattice check kind")
+        if not is_planar(g):
+            return CommandResult(1, note="not planar")
+        return CommandResult(1, note="not a member: has a leaf")
+    line = " ".join(str(coloring[v]) for v in g.vertices())
+    return CommandResult(0, "4-coloring " + line + "\n")
 
 
-def _topcode(args) -> CommandResult:
-    if args.sub == "encode":
-        g, f = formats.read_colored(_read_file(args.input))
-        t = topcode_from_graph(g, f)
-        if args.string:
-            return CommandResult(0, string_from_topcode(t) + "\n")
-        return CommandResult(0, formats.write_topcode(t))
+def _check_spanning(args, text: str) -> CommandResult:
+    g, _ = formats.read_any_graph(text)
+    if not is_tree(g):
+        return CommandResult(1, note="not a member: not a tree")
+    line = " ".join(str(v) for v in g.vertices())
+    return CommandResult(0, "rainbow " + line + "\n")
 
-    if args.sub == "decode":
-        t = formats.read_topcode(_read_file(args.input))
-        realized = realize_topcode(t, identify=args.identify)
-        if realized is None:
-            return CommandResult(1, note="unrealizable matrix")
-        g, f = realized
-        return CommandResult(0, formats.write_colored(g, f))
 
-    if args.sub == "solve":
-        if args.limit < 0:
-            raise ValueError("--limit: expected a count >= 0, got %d" % args.limit)
-        raw = _read_file(args.input)
-        d = formats.read_number_string(raw, substitute_o=args.substitute_o)
-        sols = solve_dnsp(d, _q_values(args.q))
-        head = "solutions %d" % len(sols)
-        if args.substitute_o:
-            head += " (letter o read as 0)"
-        if not sols:
-            return CommandResult(1, note="no tree cutting found; " + head)
-        shown = sols if args.limit == 0 else sols[: args.limit]
-        blocks = [head]
-        for m, g, f in shown:
-            blocks.append(
-                formats.write_topcode(m).rstrip("\n")
-                + "\n"
-                + formats.write_colored(g, f).rstrip("\n")
-            )
-        if len(shown) < len(sols):
-            blocks.append("... %d more not shown (raise --limit)" % (len(sols) - len(shown)))
-        return CommandResult(0, "\n\n".join(blocks) + "\n")
+def _check_colored(args, text: str) -> CommandResult:
+    if not args.base:
+        raise ValueError("lattice check colored needs --base SYSTEMFILE")
+    system = formats.read_system(_read_file(args.base))
+    g, f = formats.read_colored(text)
+    script = colored_lattice_member(g, f, system)
+    if script is None:
+        return CommandResult(1, note="not a member: some split star matches no base star")
+    return CommandResult(0, formats.write_script(script))
 
-    raise RuntimeError("unknown topcode subcommand")
+
+# `lattice check KIND`: the kinds the parser accepts, each with its check,
+# which gets the input file's text already read.
+_LATTICE_CHECKS = {
+    "uncolored": _check_uncolored,
+    "hamiltonian": _check_hamiltonian,
+    "planar": _check_planar,
+    "spanning": _check_spanning,
+    "colored": _check_colored,
+}
+
+
+def _seq_check(args) -> CommandResult:
+    degs = _ints(args.sequence, "sequence")
+    if not is_graphical(degs):
+        return CommandResult(1, note="not graphical")
+    return CommandResult(0, formats.write_graph(realize_sequence(degs)))
+
+
+def _hamiltonian_build(args) -> CommandResult:
+    if args.budget < 0:
+        raise ValueError("--budget: expected a count >= 0, got %d" % args.budget)
+    degs = _ints(args.degrees, "degrees")
+    hc = build_haired_cycle(degs)
+    try:
+        res = close_to_hamiltonian(hc, exhaustive_limit=args.budget, seed=args.seed)
+    except NoClosure as e:
+        return CommandResult(1, note="no closure: %s" % e)
+    head = "closures %d partial %d" % (len(res.graphs), 1 if res.partial else 0)
+    docs = [formats.write_graph(g).rstrip("\n") for g in res.graphs]
+    return CommandResult(0, "\n\n".join([head] + docs) + "\n")
+
+
+def _coloring_verify(args) -> CommandResult:
+    g, f = formats.read_colored(_read_file(args.input))
+    if not is_proper_total(g, f):
+        return CommandResult(1, note="not a proper total coloring")
+    if g.q == 0:
+        return CommandResult(0, "proper total; palette %d; no edges\n" % f.palette)
+    rep = bfdt(g, f)
+    line = "proper total; palette %d; weights %d..%d; spread %d\n"
+    return CommandResult(0, line % (f.palette, rep.wmin, rep.wmax, rep.bfdt))
+
+
+def _chi_fdt(args) -> CommandResult:
+    if args.max_colors < 1:
+        raise ValueError("--max-colors: expected a count >= 1, got %d" % args.max_colors)
+    g, _ = _graph(args)
+    result = chi_fdt(g, args.max_colors)
+    if result.coloring is None:
+        return CommandResult(
+            1, note="no constant-weight coloring within %d colors" % result.searched_up_to)
+    return CommandResult(0, "%d\n" % result.m + formats.write_colored(g, result.coloring))
+
+
+def _iceflower_build(args) -> CommandResult:
+    return CommandResult(0, formats.write_system(build_uniform_fdt_system(args.n, args.k)))
+
+
+def _strong_check(args) -> CommandResult:
+    s = formats.read_system(_read_file(args.input))
+    if is_strongly_colored(s):
+        return CommandResult(0, "strongly colored\n")
+    return CommandResult(1, note="not strongly colored")
+
+
+def _saturate(args) -> CommandResult:
+    s = formats.read_system(_read_file(args.input))
+    res = saturate(s, _ints(args.copies, "--copies"))
+    doc = formats.write_colored(res.graph, res.coloring)
+    if res.saturated:
+        return CommandResult(0, doc, note="saturated")
+    return CommandResult(1, doc, note="not saturated")
+
+
+def _topcode_encode(args) -> CommandResult:
+    g, f = formats.read_colored(_read_file(args.input))
+    t = topcode_from_graph(g, f)
+    if args.string:
+        return CommandResult(0, string_from_topcode(t) + "\n")
+    return CommandResult(0, formats.write_topcode(t))
+
+
+def _topcode_decode(args) -> CommandResult:
+    t = formats.read_topcode(_read_file(args.input))
+    realized = realize_topcode(t, identify=args.identify)
+    if realized is None:
+        return CommandResult(1, note="unrealizable matrix")
+    g, f = realized
+    return CommandResult(0, formats.write_colored(g, f))
+
+
+def _topcode_solve(args) -> CommandResult:
+    if args.limit < 0:
+        raise ValueError("--limit: expected a count >= 0, got %d" % args.limit)
+    d = formats.read_number_string(_read_file(args.input), substitute_o=args.substitute_o)
+    sols = solve_dnsp(d, _q_values(args.q))
+    head = "solutions %d" % len(sols)
+    if args.substitute_o:
+        head += " (letter o read as 0)"
+    if not sols:
+        return CommandResult(1, note="no tree cutting found; " + head)
+    shown = sols if args.limit == 0 else sols[: args.limit]
+    blocks = [head]
+    for m, g, f in shown:
+        blocks.append(formats.write_topcode(m).rstrip("\n") + "\n"
+                      + formats.write_colored(g, f).rstrip("\n"))
+    if len(shown) < len(sols):
+        blocks.append("... %d more not shown (raise --limit)" % (len(sols) - len(shown)))
+    return CommandResult(0, "\n\n".join(blocks) + "\n")
+
+
+def _export_dot(args) -> CommandResult:
+    g, f = _graph(args)
+    return CommandResult(0, formats.export_dot(g, f))
 
 
 def main() -> None:

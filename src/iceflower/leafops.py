@@ -64,14 +64,11 @@ def _require_leaf_edge(
         raise ValueError("support %d has no eligible degree" % label(s))
 
 
-def check_leaf_edge(
-    adj: Sequence[Set[int]], e: LeafEdge, label: Callable[[int], int] = int
-) -> None:
+def check_leaf_edge(adj: Sequence[Set[int]], e: LeafEdge) -> None:
     """Reject e unless it is a leaf-edge of the adjacency sets adj (indexed
-    by vertex id, slot 0 unused).  Error messages name vertex v as
-    label(v), v itself by default."""
+    by vertex id, slot 0 unused)."""
     s, x = e
-    _require_leaf_edge(adj, s, x, 1 <= s < len(adj) and x in adj[s], label)
+    _require_leaf_edge(adj, s, x, 1 <= s < len(adj) and x in adj[s], int)
 
 
 def leaf_edges(g: Graph) -> list:

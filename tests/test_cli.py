@@ -55,6 +55,12 @@ def test_missing_file_and_bad_usage(tmp_path):
     assert run(["no-such-command"]).exit_code == 2
     missing = run(["lattice", "check", "uncolored", "/does/not/exist", "--base", "2"])
     assert missing.exit_code == 2 and missing.note.startswith("error: cannot read ")
+    # an unreadable input is reported before a missing or unparsable --base
+    for kind in ("uncolored", "colored"):
+        for base in ([], ["--base", "x,"]):
+            r = run(["lattice", "check", kind, "/does/not/exist"] + base)
+            assert (r.exit_code, r.payload) == (2, "")
+            assert r.note.startswith("error: cannot read /does/not/exist: ")
     # a readable graph, so only the missing --base is wrong
     g = _file(tmp_path, "p3.graph", write_graph(path_graph(3)))
     for kind, wants in (("uncolored", "m1,m2,..."), ("colored", "SYSTEMFILE")):
@@ -426,9 +432,40 @@ def test_reruns_are_byte_identical(tmp_path):
 
 def test_threads_flag_never_changes_results(tmp_path):
     k4 = _file(tmp_path, "k4.graph", write_graph(complete_graph(4)))
-    a = run(["decompose", k4])
-    b = run(["decompose", k4, "--threads", "8"])
-    assert (a.exit_code, a.payload) == (b.exit_code, b.payload)
+    p3 = _file(tmp_path, "p3.graph", write_graph(path_graph(3)))
+    s = build_uniform_fdt_system(3, 1)
+    system = _file(tmp_path, "s.system", write_system(s))
+    # a star of the system, so a member of its colored lattice
+    colored = _file(tmp_path, "star.colored", write_colored(s.stars[0].graph, s.colorings[0]))
+    script = _file(tmp_path, "k4.script", write_script(decompose_to_stars(complete_graph(4))))
+    matrix = _file(tmp_path, "star.topcode", run(["topcode", "encode", colored]).payload)
+    digits = _file(tmp_path, "s.txt", "132\n")
+    # the 14 leaf commands, lattice check with each of its kinds
+    commands = [
+        ["decompose", k4],
+        ["recompose", script],
+        ["lattice", "check", "uncolored", p3, "--base", "2"],
+        ["lattice", "check", "hamiltonian", k4],
+        ["lattice", "check", "planar", k4],
+        ["lattice", "check", "spanning", p3],
+        ["lattice", "check", "colored", colored, "--base", system],
+        ["seq", "check", "3,2,2,1"],
+        ["hamiltonian", "build", "3,3,2,3,3"],
+        ["coloring", "verify", colored],
+        ["coloring", "chi-fdt", k4],
+        ["iceflower", "build", "5", "1"],
+        ["iceflower", "strong-check", system],
+        ["saturate", system, "--copies", "1,1,1"],
+        ["topcode", "encode", colored, "--string"],
+        ["topcode", "decode", matrix],
+        ["topcode", "solve", digits, "--q", "1"],
+        ["export", "dot", k4],
+    ]
+    for args in commands:
+        a = run(args)
+        b = run(args + ["--threads", "8"])
+        assert a.exit_code in (0, 1), (args, a.note)
+        assert (a.exit_code, a.payload, a.note) == (b.exit_code, b.payload, b.note)
 
 
 def test_negative_degree_is_bad_input_not_a_no():
